@@ -1,20 +1,102 @@
 #include "xml/push_parser.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/macros.h"
 #include "common/string_util.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#elif defined(__aarch64__)
+#include <arm_neon.h>
+#endif
+
 namespace xmlreval::xml {
 namespace {
 
 constexpr std::string_view kCDataOpen = "<![CDATA[";
+constexpr std::string_view kCommentOpen = "<!--";
 constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
 // A numeric character reference longer than this is out of range before
 // it terminates; an entity name longer than this is never one we decode.
 constexpr size_t kMaxNumericRef = 16;   // "&#x" + digits
 constexpr size_t kMaxEntityName = 256;  // "&" + name
+
+// Byte classes for the tokenizer's scans: the ASCII name subset of
+// IsNameStartChar / IsNameChar (common/string_util.h) and XML whitespace,
+// one table load per byte instead of a chain of compares.
+enum : uint8_t { kNameStart = 1, kName = 2, kSpace = 4 };
+
+constexpr std::array<uint8_t, 256> MakeByteClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c = 0; c < 256; ++c) {
+    const bool start = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                       c == '_' || c == ':';
+    const bool name = start || (c >= '0' && c <= '9') || c == '-' || c == '.';
+    const bool space = c == ' ' || c == '\t' || c == '\r' || c == '\n';
+    classes[c] = static_cast<uint8_t>((start ? kNameStart : 0) |
+                                      (name ? kName : 0) |
+                                      (space ? kSpace : 0));
+  }
+  return classes;
+}
+constexpr std::array<uint8_t, 256> kByteClasses = MakeByteClasses();
+
+inline bool IsNameStart(char c) {
+  return (kByteClasses[static_cast<uint8_t>(c)] & kNameStart) != 0;
+}
+inline bool IsName(char c) {
+  return (kByteClasses[static_cast<uint8_t>(c)] & kName) != 0;
+}
+inline bool IsSpace(char c) {
+  return (kByteClasses[static_cast<uint8_t>(c)] & kSpace) != 0;
+}
+
+// The first '<' or '&' in [p, p+n), or nullptr: the text scan, one pass
+// with the SSE2 / NEON / scalar dispatch of FindByteSimd.
+const char* FindMarkupOrReference(const char* p, size_t n) {
+#if defined(__SSE2__)
+  const __m128i lt = _mm_set1_epi8('<');
+  const __m128i amp = _mm_set1_epi8('&');
+  while (n >= 16) {
+    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    int mask = _mm_movemask_epi8(
+        _mm_or_si128(_mm_cmpeq_epi8(v, lt), _mm_cmpeq_epi8(v, amp)));
+    if (mask != 0) return p + __builtin_ctz(static_cast<unsigned>(mask));
+    p += 16;
+    n -= 16;
+  }
+#elif defined(__aarch64__)
+  const uint8x16_t lt = vdupq_n_u8('<');
+  const uint8x16_t amp = vdupq_n_u8('&');
+  while (n >= 16) {
+    uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(p));
+    uint8x16_t eq = vorrq_u8(vceqq_u8(v, lt), vceqq_u8(v, amp));
+    if (vmaxvq_u8(eq) != 0) {
+      uint64_t nib = vget_lane_u64(
+          vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)), 0);
+      return p + (__builtin_ctzll(nib) >> 2);
+    }
+    p += 16;
+    n -= 16;
+  }
+#endif
+  for (size_t i = 0; i < n; ++i) {
+    if (p[i] == '<' || p[i] == '&') return p + i;
+  }
+  return nullptr;
+}
+
+// XML 1.0 production [2] Char: the code points a character reference may
+// name.
+bool IsXmlChar(uint32_t code) {
+  return code == 0x9 || code == 0xA || code == 0xD ||
+         (code >= 0x20 && code <= 0xD7FF) ||
+         (code >= 0xE000 && code <= 0xFFFD) ||
+         (code >= 0x10000 && code <= 0x10FFFF);
+}
 
 void AppendUtf8(uint32_t code, std::string* out) {
   if (code < 0x80) {
@@ -34,18 +116,56 @@ void AppendUtf8(uint32_t code, std::string* out) {
   }
 }
 
+// The byte one of the five predefined entities stands for, or 0.
+char PredefinedEntity(std::string_view name) {
+  if (name == "amp") return '&';
+  if (name == "lt") return '<';
+  if (name == "gt") return '>';
+  if (name == "quot") return '"';
+  if (name == "apos") return '\'';
+  return 0;
+}
+
+Status UnsupportedEntity(std::string_view name) {
+  return Status::Unsupported(
+      StrCat("general entity '&", name, ";' is not supported"));
+}
+
+// Whether `c` may extend the text reference `ref` ("&" plus the bytes
+// read so far): nullptr if so, else the error to report at `c`.
+const char* ReferenceByteError(std::string_view ref, char c) {
+  if (ref.size() == 1) {
+    return c == '#' || IsNameStart(c) ? nullptr : "expected XML name";
+  }
+  if (ref[1] == '#') {
+    const bool hex_marker = ref.size() == 2 && c == 'x';
+    const bool hex = ref.size() > 2 && ref[2] == 'x';
+    const bool digit =
+        (c >= '0' && c <= '9') ||
+        (hex && ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')));
+    if (!hex_marker && !digit) return "invalid character reference";
+    if (ref.size() >= kMaxNumericRef) {
+      return "character reference out of range";
+    }
+    return nullptr;
+  }
+  if (!IsName(c) || ref.size() >= kMaxEntityName) {
+    return "unterminated entity reference";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 PushParser::PushParser(SaxHandler* handler, const ParseOptions& options)
-    : handler_(handler), options_(options) {
+    : handler_(handler),
+      skip_whitespace_text_(options.skip_whitespace_text) {
   XMLREVAL_CHECK(handler != nullptr, "PushParser requires a handler");
 }
 
-uint64_t PushParser::Offset() const {
-  return end_offset_ - static_cast<uint64_t>(end_ - p_);
-}
-
 Status PushParser::ErrorAt(uint64_t offset, std::string_view message) {
+  error_offset_ = offset;
+  error_detail_.assign(message);
   return Status::ParseError(StrCat("XML parse error at byte ",
                                    std::to_string(offset), ": ", message));
 }
@@ -59,6 +179,20 @@ void PushParser::CarryStart(char c) {
   carry_offset_ = Offset();
   carry_.clear();
   CarryByte(c);
+}
+
+void PushParser::CarryRest(const char* begin, Sub sub) {
+  carry_offset_ = OffsetOf(begin);
+  carry_.assign(begin, static_cast<size_t>(end_ - begin));
+  peak_carry_ = std::max<uint64_t>(peak_carry_, carry_.size());
+  p_ = end_;
+  sub_ = sub;
+}
+
+std::string_view PushParser::OpenTag() const {
+  const size_t n = open_ends_.size();
+  const size_t begin = n > 1 ? open_ends_[n - 2] : 0;
+  return std::string_view(open_names_).substr(begin, open_ends_[n - 1] - begin);
 }
 
 void PushParser::SkipCurrentSubtree() {
@@ -77,6 +211,13 @@ Status PushParser::Feed(std::string_view chunk) {
   end_ = chunk.data() + chunk.size();
   end_offset_ = bytes_fed_;
   Status status = Run();
+  // The chunk is the caller's: a text run still open at its end keeps its
+  // bytes in the text buffer.
+  if (text_view_size_ != 0) {
+    text_buf_.assign(text_view_, text_view_size_);
+    text_view_ = nullptr;
+    text_view_size_ = 0;
+  }
   p_ = end_ = nullptr;
   if (!status.ok()) {
     failed_ = true;
@@ -153,31 +294,22 @@ Status PushParser::RunSkip() {
   return Status::OK();
 }
 
-// Character data inside the root element. The invariant that makes this
-// simple: in kContent/kText the open-tag stack is never empty (the root's
-// start tag switches the mode, and popping the root switches to kEpilog).
+// Character data inside the root element, and the in-place dispatch of
+// every tag and reference that follows it. In kContent/kText the open-tag
+// stack is never empty: the root's start tag switches the mode, and
+// popping the root switches to kEpilog.
 Status PushParser::RunContentText() {
-  const size_t n = static_cast<size_t>(end_ - p_);
-  const char* stop = FindByteSimd(p_, n, '<');
-  size_t span = stop == nullptr ? n : static_cast<size_t>(stop - p_);
-  const char* amp = FindByteSimd(p_, span, '&');
-  if (amp != nullptr) {
-    stop = amp;
-    span = static_cast<size_t>(amp - p_);
-  }
-  pending_text_.append(p_, span);
-  p_ += span;
-  if (stop == nullptr) {
-    return Status::OK();
-  }
-  if (*p_ == '<') {
-    CarryStart('<');
-    ++p_;
-    sub_ = Sub::kMarkupLt;
-  } else {
-    CarryStart('&');
-    ++p_;
-    sub_ = Sub::kCharRef;
+  while (p_ < end_ && mode_ == Mode::kContent && sub_ == Sub::kText) {
+    const char* stop =
+        FindMarkupOrReference(p_, static_cast<size_t>(end_ - p_));
+    if (stop == nullptr) {
+      AddText(p_, static_cast<size_t>(end_ - p_));
+      p_ = end_;
+      return Status::OK();
+    }
+    AddText(p_, static_cast<size_t>(stop - p_));
+    p_ = stop;
+    RETURN_IF_ERROR(*stop == '<' ? MarkupAt(stop) : ReferenceAt(stop));
   }
   return Status::OK();
 }
@@ -185,25 +317,134 @@ Status PushParser::RunContentText() {
 // Whitespace / markup boundary in the prolog and the epilog.
 Status PushParser::RunMiscText() {
   while (p_ < end_) {
-    char c = *p_;
-    if (IsXmlWhitespace(c)) {
+    const char c = *p_;
+    if (IsSpace(c)) {
       ++p_;
       continue;
     }
-    if (c == '<') {
-      CarryStart('<');
-      ++p_;
-      sub_ = Sub::kMarkupLt;
-      return Status::OK();
-    }
+    if (c == '<') return MarkupAt(p_);
     return Error(mode_ == Mode::kProlog ? "expected root element"
                                         : "content after document element");
   }
   return Status::OK();
 }
 
+Status PushParser::MarkupAt(const char* lt) {
+  const size_t avail = static_cast<size_t>(end_ - lt);
+  if (avail >= 2) {
+    const char c = lt[1];
+    if (IsNameStart(c) && mode_ != Mode::kEpilog) {
+      if (mode_ == Mode::kProlog) mode_ = Mode::kContent;  // the root arrives
+      return StartTagAt(lt);
+    }
+    if (c == '/' && mode_ == Mode::kContent) return EndTagAt(lt);
+    if (c == '?') {
+      p_ = lt + 2;
+      sub_ = Sub::kPi;
+      return Status::OK();
+    }
+    const std::string_view rest(lt, avail);
+    if (rest.starts_with(kCommentOpen)) {
+      p_ = lt + kCommentOpen.size();
+      sub_ = Sub::kComment;
+      return Status::OK();
+    }
+    if (mode_ == Mode::kContent && rest.starts_with(kCDataOpen)) {
+      p_ = lt + kCDataOpen.size();
+      sub_ = Sub::kCData;
+      return Status::OK();
+    }
+  }
+  // Cut by the chunk's end, a DOCTYPE, or malformed: classify byte by byte.
+  p_ = lt;
+  CarryStart('<');
+  ++p_;
+  sub_ = Sub::kMarkupLt;
+  return Status::OK();
+}
+
+Status PushParser::StartTagAt(const char* lt) {
+  const char* gt = nullptr;
+  Status parsed = ParseStartTag(lt, end_, OffsetOf(lt), &gt);
+  if (parsed.ok() && gt != nullptr) {
+    p_ = gt;
+    return DispatchStartTag();
+  }
+  // Malformed or cut by the chunk's end: the tag's extent decides, as if
+  // it had been carried. A '<' inside it is reported first; a cut tag is
+  // carried (an error before the cut is found again once it completes).
+  tag_quote_ = 0;
+  RETURN_IF_ERROR(ScanStartTag(lt + 2, end_, &gt));  // lt[1] starts the name
+  if (gt == nullptr) {
+    error_offset_ = kNoErrorOffset;
+    CarryRest(lt, Sub::kStartTagAcc);
+    return Status::OK();
+  }
+  p_ = gt;
+  return HandleStartTag(std::string_view(lt, static_cast<size_t>(gt - lt)),
+                        OffsetOf(lt));
+}
+
+Status PushParser::EndTagAt(const char* lt) {
+  // The common case: exactly "</" + the open element's name + ">".
+  const std::string_view open = OpenTag();
+  const char* gt = lt + 2 + open.size();
+  if (gt < end_ && *gt == '>' &&
+      std::memcmp(lt + 2, open.data(), open.size()) == 0) {
+    p_ = gt + 1;
+    RETURN_IF_ERROR(EmitText());
+    return PopElement(std::string_view(lt + 2, open.size()));
+  }
+  gt = FindByteSimd(lt + 2, static_cast<size_t>(end_ - (lt + 2)), '>');
+  if (gt == nullptr) {
+    CarryRest(lt, Sub::kEndTagAcc);
+    return Status::OK();
+  }
+  p_ = gt + 1;
+  return HandleEndTag(std::string_view(lt, static_cast<size_t>(p_ - lt)),
+                      OffsetOf(lt));
+}
+
+Status PushParser::ReferenceAt(const char* amp) {
+  for (const char* s = amp + 1; s < end_; ++s) {
+    if (*s == ';') {
+      p_ = s + 1;
+      return DecodeReference(
+          std::string_view(amp + 1, static_cast<size_t>(s - amp - 1)),
+          OffsetOf(amp), &TextBuffer());
+    }
+    const char* bad = ReferenceByteError(
+        std::string_view(amp, static_cast<size_t>(s - amp)), *s);
+    if (bad != nullptr) return ErrorAt(OffsetOf(s), bad);
+  }
+  CarryRest(amp, Sub::kCharRef);
+  return Status::OK();
+}
+
+Status PushParser::ScanStartTag(const char* from, const char* end,
+                                const char** gt) {
+  for (const char* s = from; s < end; ++s) {
+    const char c = *s;
+    if (tag_quote_ != 0) {
+      if (c == '<') {
+        return ErrorAt(OffsetOf(s), "'<' not allowed in attribute value");
+      }
+      if (c == tag_quote_) tag_quote_ = 0;
+    } else if (c == '>') {
+      *gt = s + 1;
+      return Status::OK();
+    } else if (c == '<') {
+      return ErrorAt(OffsetOf(s), "expected XML name");
+    } else if (c == '"' || c == '\'') {
+      tag_quote_ = c;
+    }
+  }
+  *gt = nullptr;
+  return Status::OK();
+}
+
 Status PushParser::RunMarkupLt() {
-  char c = *p_;
+  const char c = *p_;
   if (c == '?') {
     ++p_;
     carry_.clear();
@@ -225,7 +466,7 @@ Status PushParser::RunMarkupLt() {
     sub_ = Sub::kEndTagAcc;
     return Status::OK();
   }
-  if (IsNameStartChar(c)) {
+  if (IsNameStart(c)) {
     if (mode_ == Mode::kProlog) mode_ = Mode::kContent;  // the root arrives
     CarryByte(c);
     ++p_;
@@ -237,38 +478,31 @@ Status PushParser::RunMarkupLt() {
 }
 
 Status PushParser::RunMarkupBang() {
+  auto bad = [this] {
+    return mode_ == Mode::kEpilog
+               ? ErrorAt(carry_offset_, "content after document element")
+               : ErrorAt(carry_offset_ + 1, "expected XML name");
+  };
   while (p_ < end_) {
-    char c = *p_;
-    Status bad = mode_ == Mode::kEpilog
-                     ? ErrorAt(carry_offset_, "content after document element")
-                     : ErrorAt(carry_offset_ + 1, "expected XML name");
+    const char c = *p_;
     if (carry_.size() == 2) {  // "<!"
-      if (c == '-') {
+      if (c == '-' || (c == '[' && mode_ != Mode::kEpilog) ||
+          (c == 'D' && mode_ == Mode::kProlog)) {
         CarryByte(c);
         ++p_;
         continue;
       }
-      if (c == '[' && mode_ != Mode::kEpilog) {
-        CarryByte(c);
-        ++p_;
-        continue;
-      }
-      if (c == 'D' && mode_ == Mode::kProlog) {
-        CarryByte(c);
-        ++p_;
-        continue;
-      }
-      return bad;
+      return bad();
     }
     if (carry_[2] == '-') {  // "<!-"
-      if (c != '-') return bad;
+      if (c != '-') return bad();
       ++p_;
       carry_.clear();
       sub_ = Sub::kComment;
       return Status::OK();
     }
     if (carry_[2] == '[') {  // matching "<![CDATA["
-      if (c != kCDataOpen[carry_.size()]) return bad;
+      if (c != kCDataOpen[carry_.size()]) return bad();
       CarryByte(c);
       ++p_;
       if (carry_.size() == kCDataOpen.size()) {
@@ -282,7 +516,7 @@ Status PushParser::RunMarkupBang() {
       continue;
     }
     // Matching "<!DOCTYPE" (prolog only; 'D' is rejected above elsewhere).
-    if (c != kDoctypeOpen[carry_.size()]) return bad;
+    if (c != kDoctypeOpen[carry_.size()]) return bad();
     CarryByte(c);
     ++p_;
     if (carry_.size() == kDoctypeOpen.size()) {
@@ -296,48 +530,40 @@ Status PushParser::RunMarkupBang() {
 }
 
 Status PushParser::RunStartTagAcc() {
-  while (p_ < end_) {
-    char c = *p_;
-    if (tag_quote_ != 0) {
-      if (c == '<') return Error("'<' not allowed in attribute value");
-      if (c == tag_quote_) tag_quote_ = 0;
-      CarryByte(c);
-      ++p_;
-      continue;
-    }
-    if (c == '>') {
-      CarryByte(c);
-      ++p_;
-      return HandleStartTag();
-    }
-    if (c == '<') return Error("expected XML name");
-    if (c == '"' || c == '\'') tag_quote_ = c;
-    CarryByte(c);
-    ++p_;
-  }
-  return Status::OK();
+  const char* gt = nullptr;
+  RETURN_IF_ERROR(ScanStartTag(p_, end_, &gt));
+  const char* stop = gt != nullptr ? gt : end_;
+  carry_.append(p_, static_cast<size_t>(stop - p_));
+  peak_carry_ = std::max<uint64_t>(peak_carry_, carry_.size());
+  p_ = stop;
+  if (gt == nullptr) return Status::OK();
+  Status status = HandleStartTag(carry_, carry_offset_);
+  carry_.clear();
+  return status;
 }
 
 Status PushParser::RunEndTagAcc() {
-  while (p_ < end_) {
-    char c = *p_;
-    CarryByte(c);
-    ++p_;
-    if (c == '>') return HandleEndTag();
-  }
-  return Status::OK();
+  const char* gt = FindByteSimd(p_, static_cast<size_t>(end_ - p_), '>');
+  const char* stop = gt != nullptr ? gt + 1 : end_;
+  carry_.append(p_, static_cast<size_t>(stop - p_));
+  peak_carry_ = std::max<uint64_t>(peak_carry_, carry_.size());
+  p_ = stop;
+  if (gt == nullptr) return Status::OK();
+  Status status = HandleEndTag(carry_, carry_offset_);
+  carry_.clear();
+  return status;
 }
 
 Status PushParser::RunDoctypeAcc() {
   while (p_ < end_) {
-    char c = *p_;
+    const char c = *p_;
     CarryByte(c);
     ++p_;
     if (doctype_quote_ != 0) {
       if (c == doctype_quote_) doctype_quote_ = 0;
     } else if (doctype_depth_ > 0) {
-      // Mirrors EventParser: the internal subset is scanned for bracket
-      // nesting only; quotes are not special inside it.
+      // The internal subset is scanned for bracket nesting only; quotes
+      // are not special inside it.
       if (c == '[') ++doctype_depth_;
       else if (c == ']') --doctype_depth_;
     } else if (c == '[') {
@@ -345,7 +571,9 @@ Status PushParser::RunDoctypeAcc() {
     } else if (c == '"' || c == '\'') {
       doctype_quote_ = c;
     } else if (c == '>') {
-      return HandleDoctype();
+      Status status = HandleDoctype(carry_, carry_offset_);
+      carry_.clear();
+      return status;
     }
   }
   return Status::OK();
@@ -353,76 +581,50 @@ Status PushParser::RunDoctypeAcc() {
 
 Status PushParser::RunCharRef() {
   while (p_ < end_) {
-    char c = *p_;
+    const char c = *p_;
     if (c == ';') {
       ++p_;
-      return HandleCharRef();
+      Status status = DecodeReference(std::string_view(carry_).substr(1),
+                                      carry_offset_, &TextBuffer());
+      carry_.clear();
+      sub_ = Sub::kText;
+      return status;
     }
-    if (carry_.size() == 1) {  // just "&"
-      if (c != '#' && !IsNameStartChar(c)) {
-        return Error("expected XML name");
-      }
-    } else if (carry_[1] == '#') {
-      bool hex_marker = carry_.size() == 2 && c == 'x';
-      bool hex = carry_.size() > 2 && carry_[2] == 'x';
-      bool digit = (c >= '0' && c <= '9') ||
-                   (hex && ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')));
-      if (!hex_marker && !digit) {
-        return Error("invalid character reference");
-      }
-      if (carry_.size() >= kMaxNumericRef) {
-        return Error("character reference out of range");
-      }
-    } else {
-      if (!IsNameChar(c)) return Error("unterminated entity reference");
-      if (carry_.size() >= kMaxEntityName) {
-        return Error("unterminated entity reference");
-      }
-    }
+    const char* bad = ReferenceByteError(carry_, c);
+    if (bad != nullptr) return Error(bad);
     CarryByte(c);
     ++p_;
   }
   return Status::OK();
 }
 
-Status PushParser::HandleCharRef() {
-  // carry_ is "&" + body, ';' not included. Bodies were validated
-  // char-by-char in RunCharRef, so only completeness checks remain.
-  std::string_view body(carry_);
-  body.remove_prefix(1);
-  if (body.empty()) return Error("expected XML name");
-  if (body[0] == '#') {
-    bool hex = body.size() > 1 && body[1] == 'x';
-    std::string_view digits = body.substr(hex ? 2 : 1);
-    if (digits.empty()) return Error("unterminated character reference");
-    uint32_t code = 0;
-    for (char c : digits) {
-      uint32_t digit;
-      if (c >= '0' && c <= '9') digit = c - '0';
-      else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-      else digit = 10 + (c - 'A');
-      code = code * (hex ? 16 : 10) + digit;
-      if (code > 0x10FFFF) {
-        return Error("character reference out of range");
-      }
-    }
-    AppendUtf8(code, &pending_text_);
-  } else if (body == "amp") {
-    pending_text_ += '&';
-  } else if (body == "lt") {
-    pending_text_ += '<';
-  } else if (body == "gt") {
-    pending_text_ += '>';
-  } else if (body == "quot") {
-    pending_text_ += '"';
-  } else if (body == "apos") {
-    pending_text_ += '\'';
-  } else {
-    return Status::Unsupported(StrCat("general entity '&", body,
-                                      ";' is not supported"));
+Status PushParser::DecodeReference(std::string_view body, uint64_t offset,
+                                   std::string* out) {
+  if (body.empty()) return ErrorAt(offset + 1, "expected XML name");
+  if (body[0] != '#') {
+    const char c = PredefinedEntity(body);
+    if (c == 0) return UnsupportedEntity(body);
+    *out += c;
+    return Status::OK();
   }
-  carry_.clear();
-  sub_ = Sub::kText;
+  const bool hex = body.size() > 1 && body[1] == 'x';
+  const std::string_view digits = body.substr(hex ? 2 : 1);
+  if (digits.empty()) {
+    return ErrorAt(offset, "unterminated character reference");
+  }
+  uint32_t code = 0;
+  for (char c : digits) {
+    uint32_t digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
+    else digit = 10 + (c - 'A');
+    code = code * (hex ? 16 : 10) + digit;
+    if (code > 0x10FFFF) {
+      return ErrorAt(offset, "character reference out of range");
+    }
+  }
+  if (!IsXmlChar(code)) return ErrorAt(offset, "invalid character reference");
+  AppendUtf8(code, out);
   return Status::OK();
 }
 
@@ -451,34 +653,33 @@ Status PushParser::RunCData() {
   while (p_ < end_) {
     if (sub_ == Sub::kCData) {
       const char* br = FindByteSimd(p_, static_cast<size_t>(end_ - p_), ']');
-      size_t span = br == nullptr ? static_cast<size_t>(end_ - p_)
-                                  : static_cast<size_t>(br - p_);
-      pending_text_.append(p_, span);
-      p_ += span;
+      const char* stop = br != nullptr ? br : end_;
+      AddText(p_, static_cast<size_t>(stop - p_));
+      p_ = stop;
       if (br == nullptr) return Status::OK();
       ++p_;  // the ']'
       sub_ = Sub::kCDataBracket;
     } else if (sub_ == Sub::kCDataBracket) {
-      char c = *p_++;
+      const char c = *p_++;
       if (c == ']') {
         sub_ = Sub::kCDataBracketBracket;
       } else {
-        pending_text_ += ']';
-        pending_text_ += c;
+        TextBuffer() += ']';
+        TextBuffer() += c;
         sub_ = Sub::kCData;
       }
     } else {  // kCDataBracketBracket
-      char c = *p_++;
+      const char c = *p_++;
       if (c == '>') {
         sub_ = Sub::kText;
         return Status::OK();
       }
       if (c == ']') {
         // "]]]" — emit one ']' and keep the two-bracket window open.
-        pending_text_ += ']';
+        TextBuffer() += ']';
       } else {
-        pending_text_ += "]]";
-        pending_text_ += c;
+        TextBuffer() += "]]";
+        TextBuffer() += c;
         sub_ = Sub::kCData;
       }
     }
@@ -497,7 +698,7 @@ Status PushParser::RunPi() {
       p_ = q + 1;
       sub_ = Sub::kPiQ;
     } else {  // kPiQ
-      char c = *p_++;
+      const char c = *p_++;
       if (c == '>') {
         sub_ = Sub::kText;
         return Status::OK();
@@ -508,210 +709,176 @@ Status PushParser::RunPi() {
   return Status::OK();
 }
 
-Status PushParser::AppendReferenceAt(std::string_view text, size_t* pos,
-                                     std::string* out,
-                                     uint64_t text_offset) {
-  size_t i = *pos;
+Status PushParser::ParseStartTag(const char* lt, const char* end,
+                                 uint64_t offset, const char** gt) {
+  *gt = nullptr;
+  const char* s = lt + 1;
   auto err = [&](std::string_view msg) {
-    *pos = i;
-    return ErrorAt(text_offset + i, msg);
+    return ErrorAt(offset + static_cast<uint64_t>(s - lt), msg);
   };
-  if (i < text.size() && text[i] == '#') {
-    ++i;
-    bool hex = i < text.size() && text[i] == 'x';
-    if (hex) ++i;
-    uint32_t code = 0;
-    bool any = false;
-    while (i < text.size() && text[i] != ';') {
-      char c = text[i];
-      uint32_t digit;
-      if (c >= '0' && c <= '9') digit = c - '0';
-      else if (hex && c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-      else if (hex && c >= 'A' && c <= 'F') digit = 10 + (c - 'A');
-      else return err("invalid character reference");
-      ++i;
-      code = code * (hex ? 16 : 10) + digit;
-      if (code > 0x10FFFF) return err("character reference out of range");
-      any = true;
+  while (s < end && IsName(*s)) ++s;
+  tag_name_ = std::string_view(lt + 1, static_cast<size_t>(s - lt - 1));
+  attrs_.clear();
+  attr_buf_.clear();
+  decoded_.clear();
+  while (true) {
+    while (s < end && IsSpace(*s)) ++s;
+    if (s == end) return Status::OK();
+    if (*s == '>' || *s == '/') {
+      self_closing_ = *s == '/';
+      if (self_closing_) {
+        ++s;
+        if (s == end) return Status::OK();
+        if (*s != '>') return err("expected XML name");
+      }
+      ++s;  // '>'
+      // Views into attr_buf_ are taken once it has stopped growing.
+      for (const DecodedValue& d : decoded_) {
+        attrs_[d.attr].value =
+            std::string_view(attr_buf_).substr(d.begin, d.end - d.begin);
+      }
+      *gt = s;
+      return Status::OK();
     }
-    if (!any || i >= text.size()) {
-      return err("unterminated character reference");
+    if (!IsNameStart(*s)) return err("expected XML name");
+    const char* attr_name = s;
+    while (s < end && IsName(*s)) ++s;
+    const std::string_view name(attr_name, static_cast<size_t>(s - attr_name));
+    while (s < end && IsSpace(*s)) ++s;
+    if (s == end) return Status::OK();
+    if (*s != '=') return err("expected '=' after attribute name");
+    ++s;
+    while (s < end && IsSpace(*s)) ++s;
+    if (s == end) return Status::OK();
+    if (*s != '"' && *s != '\'') return err("expected quoted attribute value");
+    const char quote = *s++;
+    const char* value = s;
+    bool has_reference = false;
+    while (s < end && *s != quote) {
+      if (*s == '<') return err("'<' not allowed in attribute value");
+      has_reference |= *s == '&';
+      ++s;
     }
-    ++i;  // ';'
-    AppendUtf8(code, out);
-    *pos = i;
-    return Status::OK();
+    if (s == end) return Status::OK();
+    if (has_reference) {
+      // Decoded into attr_buf_; the view is set when the tag completes.
+      const size_t begin = attr_buf_.size();
+      for (const char* v = value; v < s;) {
+        const char* amp = std::find(v, s, '&');
+        attr_buf_.append(v, static_cast<size_t>(amp - v));
+        if (amp == s) break;
+        const char* r = amp + 1;
+        for (; *r != ';'; ++r) {  // the closing quote ends every reference
+          const char* bad = ReferenceByteError(
+              std::string_view(amp, static_cast<size_t>(r - amp)), *r);
+          if (bad != nullptr) return ErrorAt(offset + (r - lt), bad);
+        }
+        RETURN_IF_ERROR(DecodeReference(
+            std::string_view(amp + 1, static_cast<size_t>(r - amp - 1)),
+            offset + (amp - lt), &attr_buf_));
+        v = r + 1;
+      }
+      decoded_.push_back(DecodedValue{attrs_.size(), begin, attr_buf_.size()});
+    }
+    const std::string_view raw(value, static_cast<size_t>(s - value));
+    ++s;  // closing quote
+    for (const SaxAttribute& existing : attrs_) {
+      if (existing.name == name) {
+        return err(StrCat("duplicate attribute '", name, "'"));
+      }
+    }
+    attrs_.push_back(SaxAttribute{name, raw});
   }
-  if (i >= text.size() || !IsNameStartChar(text[i])) {
-    return err("expected XML name");
-  }
-  size_t name_begin = i;
-  while (i < text.size() && IsNameChar(text[i])) ++i;
-  std::string_view name = text.substr(name_begin, i - name_begin);
-  if (i >= text.size() || text[i] != ';') {
-    return err("unterminated entity reference");
-  }
-  ++i;
-  if (name == "amp") *out += '&';
-  else if (name == "lt") *out += '<';
-  else if (name == "gt") *out += '>';
-  else if (name == "quot") *out += '"';
-  else if (name == "apos") *out += '\'';
-  else {
-    return Status::Unsupported(StrCat("general entity '&", name,
-                                      ";' is not supported"));
-  }
-  *pos = i;
-  return Status::OK();
 }
 
-Status PushParser::HandleStartTag() {
-  // carry_ holds the whole tag, '<' through '>' inclusive, quotes balanced.
-  const std::string_view tag(carry_);
-  size_t i = 1;
-  auto err = [&](std::string_view msg) {
-    return ErrorAt(carry_offset_ + i, msg);
-  };
-  size_t name_begin = i;
-  while (i < tag.size() && IsNameChar(tag[i])) ++i;
-  std::string_view name = tag.substr(name_begin, i - name_begin);
-
-  attr_storage_.clear();
-  bool self_closing = false;
-  while (true) {
-    while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
-    if (i >= tag.size()) return err("unterminated start tag");
-    if (tag[i] == '>') break;
-    if (tag[i] == '/') {
-      if (i + 1 >= tag.size() || tag[i + 1] != '>') {
-        ++i;
-        return err("expected XML name");
-      }
-      self_closing = true;
-      i += 2;
-      break;
-    }
-    if (!IsNameStartChar(tag[i])) return err("expected XML name");
-    size_t attr_begin = i;
-    while (i < tag.size() && IsNameChar(tag[i])) ++i;
-    std::string attr_name(tag.substr(attr_begin, i - attr_begin));
-    while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
-    if (i >= tag.size() || tag[i] != '=') {
-      return err("expected '=' after attribute name");
-    }
-    ++i;
-    while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
-    if (i >= tag.size() || (tag[i] != '"' && tag[i] != '\'')) {
-      return err("expected quoted attribute value");
-    }
-    char quote = tag[i++];
-    std::string value;
-    while (i < tag.size() && tag[i] != quote) {
-      char c = tag[i];
-      if (c == '<') return err("'<' not allowed in attribute value");
-      if (c == '&') {
-        ++i;
-        RETURN_IF_ERROR(AppendReferenceAt(tag, &i, &value, carry_offset_));
-      } else {
-        value += c;
-        ++i;
-      }
-    }
-    if (i >= tag.size()) return err("unterminated attribute value");
-    ++i;  // closing quote
-    for (const auto& [existing, unused] : attr_storage_) {
-      if (existing == attr_name) {
-        return err(StrCat("duplicate attribute '", attr_name, "'"));
-      }
-    }
-    attr_storage_.emplace_back(std::move(attr_name), std::move(value));
+Status PushParser::HandleStartTag(std::string_view tag, uint64_t offset) {
+  // `tag` runs from '<' through the first '>' outside quotes; quotes are
+  // balanced and no '<' follows the first byte (ScanStartTag).
+  const char* gt = nullptr;
+  RETURN_IF_ERROR(ParseStartTag(tag.data(), tag.data() + tag.size(), offset,
+                                &gt));
+  if (gt == nullptr) {
+    return ErrorAt(offset + tag.size(), "unterminated start tag");
   }
+  return DispatchStartTag();
+}
 
-  attr_views_.clear();
-  for (const auto& [aname, avalue] : attr_storage_) {
-    attr_views_.push_back(SaxAttribute{aname, avalue});
-  }
-
+Status PushParser::DispatchStartTag() {
+  const std::string_view name = tag_name_;
+  const bool self_closing = self_closing_;
   RETURN_IF_ERROR(EmitText());
   in_start_element_ = true;
   skip_requested_ = false;
-  Status handled = handler_->StartElement(name, attr_views_);
+  Status handled = handler_->StartElement(name, attrs_);
   in_start_element_ = false;
   RETURN_IF_ERROR(handled);
   const bool skip = skip_requested_;
   skip_requested_ = false;
+  sub_ = Sub::kText;
 
   if (self_closing) {
     // A skipped self-closing element has no subtree: only its EndElement
     // is suppressed.
     if (!skip) RETURN_IF_ERROR(handler_->EndElement(name));
-    if (open_tags_.empty()) mode_ = Mode::kEpilog;  // it was the root
-    carry_.clear();
-    sub_ = Sub::kText;
+    if (open_ends_.empty()) mode_ = Mode::kEpilog;  // it was the root
     return Status::OK();
   }
   if (skip) {
-    skip_is_root_ = open_tags_.empty();
+    skip_is_root_ = open_ends_.empty();
     skipper_.Begin();
     mode_ = Mode::kSkip;
-    sub_ = Sub::kText;
-    carry_.clear();
     return Status::OK();
   }
-  open_tags_.emplace_back(name);
-  carry_.clear();
-  sub_ = Sub::kText;
+  open_names_.append(name);
+  open_ends_.push_back(static_cast<uint32_t>(open_names_.size()));
   return Status::OK();
 }
 
-Status PushParser::HandleEndTag() {
-  // carry_ is "</" ... ">", '>' being the final byte.
-  const std::string_view tag(carry_);
+Status PushParser::HandleEndTag(std::string_view tag, uint64_t offset) {
+  // `tag` is "</" ... ">", '>' being its only '>'.
   size_t i = 2;
-  auto err = [&](std::string_view msg) {
-    return ErrorAt(carry_offset_ + i, msg);
-  };
-  if (i >= tag.size() || !IsNameStartChar(tag[i])) {
+  auto err = [&](std::string_view msg) { return ErrorAt(offset + i, msg); };
+  if (i >= tag.size() || !IsNameStart(tag[i])) {
     return err("expected XML name");
   }
-  size_t name_begin = i;
-  while (i < tag.size() && IsNameChar(tag[i])) ++i;
-  std::string_view name = tag.substr(name_begin, i - name_begin);
-  while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
+  while (i < tag.size() && IsName(tag[i])) ++i;
+  const std::string_view name = tag.substr(2, i - 2);
+  while (i < tag.size() && IsSpace(tag[i])) ++i;
   if (i + 1 != tag.size() || tag[i] != '>') return err("expected '>'");
 
   RETURN_IF_ERROR(EmitText());
-  if (open_tags_.empty()) {
-    return ErrorAt(carry_offset_, "unmatched closing tag");
+  if (open_ends_.empty()) {
+    return ErrorAt(offset, "unmatched closing tag");
   }
-  if (open_tags_.back() != name) {
-    return ErrorAt(carry_offset_,
+  if (OpenTag() != name) {
+    return ErrorAt(offset,
                    StrCat("mismatched closing tag '</", name,
-                          ">'; open element is '", open_tags_.back(), "'"));
+                          ">'; open element is '", OpenTag(), "'"));
   }
+  return PopElement(name);
+}
+
+Status PushParser::PopElement(std::string_view name) {
   RETURN_IF_ERROR(handler_->EndElement(name));
-  open_tags_.pop_back();
-  if (open_tags_.empty()) mode_ = Mode::kEpilog;
-  carry_.clear();
+  open_ends_.pop_back();
+  open_names_.resize(open_ends_.empty() ? 0 : open_ends_.back());
+  if (open_ends_.empty()) mode_ = Mode::kEpilog;
   sub_ = Sub::kText;
   return Status::OK();
 }
 
-Status PushParser::HandleDoctype() {
-  // carry_ is "<!DOCTYPE" ... ">", quotes and brackets balanced.
-  const std::string_view text(carry_);
+Status PushParser::HandleDoctype(std::string_view text, uint64_t offset) {
+  // `text` is "<!DOCTYPE" ... ">", quotes and brackets balanced.
   size_t i = kDoctypeOpen.size();
-  auto err = [&](std::string_view msg) {
-    return ErrorAt(carry_offset_ + i, msg);
-  };
+  auto err = [&](std::string_view msg) { return ErrorAt(offset + i, msg); };
   auto skip_ws = [&] {
-    while (i < text.size() && IsXmlWhitespace(text[i])) ++i;
+    while (i < text.size() && IsSpace(text[i])) ++i;
   };
   auto skip_literal = [&]() -> Status {
     if (i >= text.size() || (text[i] != '"' && text[i] != '\'')) {
       return err("expected quoted literal");
     }
-    char quote = text[i++];
+    const char quote = text[i++];
     while (i < text.size() && text[i] != quote) ++i;
     if (i >= text.size()) return err("unterminated literal");
     ++i;
@@ -719,12 +886,12 @@ Status PushParser::HandleDoctype() {
   };
 
   skip_ws();
-  if (i >= text.size() || !IsNameStartChar(text[i])) {
+  if (i >= text.size() || !IsNameStart(text[i])) {
     return err("expected XML name");
   }
-  size_t name_begin = i;
-  while (i < text.size() && IsNameChar(text[i])) ++i;
-  std::string_view name = text.substr(name_begin, i - name_begin);
+  const size_t name_begin = i;
+  while (i < text.size() && IsName(text[i])) ++i;
+  const std::string_view name = text.substr(name_begin, i - name_begin);
   skip_ws();
   if (text.substr(i, 6) == "SYSTEM") {
     i += 6;
@@ -740,7 +907,7 @@ Status PushParser::HandleDoctype() {
   skip_ws();
   std::string_view subset;
   if (i < text.size() && text[i] == '[') {
-    size_t begin = ++i;
+    const size_t begin = ++i;
     int depth = 1;
     while (i < text.size()) {
       if (text[i] == '[') ++depth;
@@ -756,19 +923,48 @@ Status PushParser::HandleDoctype() {
     return err("expected '>' after DOCTYPE");
   }
   RETURN_IF_ERROR(handler_->Doctype(name, subset));
-  carry_.clear();
   sub_ = Sub::kText;
   return Status::OK();
 }
 
-Status PushParser::EmitText() {
-  if (pending_text_.empty()) return Status::OK();
-  std::string text;
-  text.swap(pending_text_);
-  if (options_.skip_whitespace_text && IsAllXmlWhitespace(text)) {
-    return Status::OK();
+void PushParser::AddText(const char* data, size_t n) {
+  if (n == 0) return;
+  if (!text_buf_.empty()) {
+    text_buf_.append(data, n);
+  } else if (text_view_size_ == 0) {
+    text_view_ = data;
+    text_view_size_ = n;
+  } else if (text_view_ + text_view_size_ == data) {
+    text_view_size_ += n;
+  } else {
+    TextBuffer().append(data, n);
   }
-  return handler_->Characters(text);
+}
+
+std::string& PushParser::TextBuffer() {
+  // Bytes that are not in the chunk (decoded references, CDATA brackets)
+  // are about to join the run: move its in-chunk part into the buffer.
+  if (text_view_size_ != 0) {
+    text_buf_.append(text_view_, text_view_size_);
+    text_view_ = nullptr;
+    text_view_size_ = 0;
+  }
+  return text_buf_;
+}
+
+Status PushParser::EmitText() {
+  const std::string_view text =
+      text_view_size_ != 0 ? std::string_view(text_view_, text_view_size_)
+                           : std::string_view(text_buf_);
+  if (text.empty()) return Status::OK();
+  text_view_ = nullptr;
+  text_view_size_ = 0;
+  Status status = Status::OK();
+  if (!skip_whitespace_text_ || !IsAllXmlWhitespace(text)) {
+    status = handler_->Characters(text);
+  }
+  text_buf_.clear();
+  return status;
 }
 
 Status PushParser::Finish() {
@@ -785,7 +981,7 @@ Status PushParser::Finish() {
           status = ErrorAt(at, "expected root element");
         } else if (mode_ == Mode::kContent) {
           status = ErrorAt(at, StrCat("unexpected end of input inside '",
-                                      open_tags_.back(), "'"));
+                                      OpenTag(), "'"));
         }
         // kEpilog: complete document.
         break;

@@ -1,27 +1,39 @@
-// Incremental (push-mode) XML event parsing.
+// The XML tokenizer: incremental (push-mode) SAX event parsing.
 //
-// PushParser is the chunked counterpart of ParseXmlEvents: callers Feed()
-// byte chunks as they arrive (pipe, socket, mmap window) and the parser
-// emits the same SAX events with the same well-formedness checks — the
-// document is never resident as one buffer. Live state is
+// PushParser is the only XML grammar in the library. Callers Feed() byte
+// chunks as they arrive (pipe, socket, mmap window) and the parser emits
+// SAX events with full well-formedness checking; ParseXmlEvents, ParseXml
+// and ParseXmlWithDoctype are one Feed() of the resident input plus
+// Finish(). Live state is
 //
 //   * the open-element tag stack                    — O(document depth)
-//   * one carry buffer for a construct split across
-//     a chunk boundary (a tag, a DOCTYPE, a char
-//     reference)                                    — bounded by the
+//   * one carry buffer for the single construct that
+//     straddles a chunk boundary (a tag, a DOCTYPE,
+//     a character or entity reference)              — bounded by the
 //                                                     longest single tag
-//   * the pending text of the current text node     — bounded by the
+//   * the pending text of the current text node, when
+//     it crosses a chunk boundary or needs decoding — bounded by the
 //                                                     largest text node
 //
-// none of which grows with document size. Comments, CDATA sections and
-// processing instructions of any length cross chunk boundaries with O(1)
-// state (rolling terminator match), never through the carry buffer.
+// none of which grows with document size.
 //
-// Differences from ParseXmlEvents, by design:
-//   * Text is always coalesced (one Characters event per run, regardless
-//     of chunking); ParseOptions::coalesce_text is ignored.
-//   * Parse errors report absolute byte offsets, not line:column —
-//     tracking lines would touch every byte, defeating skip-scanning.
+// Zero-copy fast path: a start or end tag, a reference or a text run that
+// lies wholly inside the current chunk is parsed in place — names and
+// undecoded attribute values and text reach the handler as views into the
+// chunk, found with SIMD byte scans. Decoded bytes go to one text buffer and
+// one attribute buffer, both reused across tags, so a warmed parser does
+// not allocate per tag. Only a construct cut by the chunk's end is copied
+// into the carry buffer and finished when the next chunk arrives; feeding
+// a whole document in one chunk carries nothing but a DOCTYPE. Comments,
+// CDATA sections and processing instructions of any length cross chunk
+// boundaries with O(1) state (rolling terminator match).
+//
+// Text is always coalesced: one Characters event per run between tags,
+// across CDATA sections, comments, PIs and chunk boundaries. Parse errors
+// carry the absolute byte offset of the fault (counting lines would touch
+// every byte and defeat skip-scanning); error_offset() exposes it so the
+// one-shot entry points can report line:column instead. Events and
+// errors do not depend on how the input is chunked.
 //
 // SkipCurrentSubtree() is the hook for schema-cast subsumption skipping
 // (core/streaming_validator.h): called from within StartElement, it stops
@@ -36,7 +48,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -47,8 +58,12 @@ namespace xmlreval::xml {
 
 class PushParser {
  public:
+  /// error_offset() when the latched status did not come from the grammar
+  /// (a handler abort, an unsupported entity, or no error at all).
+  static constexpr uint64_t kNoErrorOffset = ~uint64_t{0};
+
   /// `handler` must outlive the parser. Honors
-  /// ParseOptions::skip_whitespace_text; text is always coalesced.
+  /// ParseOptions::skip_whitespace_text.
   explicit PushParser(SaxHandler* handler, const ParseOptions& options = {});
 
   PushParser(const PushParser&) = delete;
@@ -74,7 +89,13 @@ class PushParser {
   /// High-water mark of the chunk-boundary carry buffer.
   uint64_t peak_carry_bytes() const { return peak_carry_; }
   /// Currently open elements (excludes a subtree being skipped).
-  size_t depth() const { return open_tags_.size(); }
+  size_t depth() const { return open_ends_.size(); }
+
+  /// Absolute byte offset of the latched well-formedness error, or
+  /// kNoErrorOffset.
+  uint64_t error_offset() const { return error_offset_; }
+  /// The latched error's description without its position prefix.
+  const std::string& error_detail() const { return error_detail_; }
 
  private:
   enum class Mode : uint8_t {
@@ -84,6 +105,8 @@ class PushParser {
     kEpilog,   // after the root closed: whitespace, comments, PIs only
   };
 
+  // Where the previous chunk left off. kText is the in-place state; every
+  // other state finishes a construct the chunk boundary cut.
   enum class Sub : uint8_t {
     kText,         // character data (content) / whitespace (prolog, epilog)
     kMarkupLt,     // carry == "<": classify the construct
@@ -95,7 +118,7 @@ class PushParser {
     kComment,      // inside "<!--": scan for '-'
     kCommentDash,
     kCommentDashDash,
-    kCData,        // inside CDATA: bytes join pending text
+    kCData,        // inside CDATA: bytes join the pending text
     kCDataBracket,
     kCDataBracketBracket,
     kPi,           // inside "<?": scan for '?'
@@ -117,27 +140,57 @@ class PushParser {
   Status RunCData();
   Status RunPi();
 
-  // Complete-construct handlers over carry_ (mirror EventParser).
-  Status HandleStartTag();
-  Status HandleEndTag();
-  Status HandleDoctype();
-  Status HandleCharRef();
+  // In-place dispatch at a '<' / '&' of the current chunk: handles the
+  // construct from the chunk when it ends inside it, else starts carrying.
+  Status MarkupAt(const char* lt);
+  Status StartTagAt(const char* lt);
+  Status EndTagAt(const char* lt);
+  Status ReferenceAt(const char* amp);
+  /// Copies [begin, end_) into the carry buffer and resumes in `sub`.
+  void CarryRest(const char* begin, Sub sub);
 
+  /// Quote-aware scan for the '>' ending a start tag, updating tag_quote_.
+  /// Returns the byte past '>', or nullptr when `end` came first.
+  Status ScanStartTag(const char* from, const char* end, const char** gt);
+
+  /// Parses the start tag at `lt` in one pass into tag_name_, attrs_ and
+  /// self_closing_; `offset` is lt's. Sets *gt past its '>', or to nullptr
+  /// when `end` comes first.
+  Status ParseStartTag(const char* lt, const char* end, uint64_t offset,
+                       const char** gt);
+
+  // Complete-construct handlers; `offset` is the construct's first byte.
+  Status HandleStartTag(std::string_view tag, uint64_t offset);
+  /// Emits the start tag ParseStartTag left in tag_name_ / attrs_.
+  Status DispatchStartTag();
+  Status PopElement(std::string_view name);
+  Status HandleEndTag(std::string_view tag, uint64_t offset);
+  Status HandleDoctype(std::string_view text, uint64_t offset);
+  /// Appends the decoded reference to `out`; `body` is the text between
+  /// '&' and ';', already checked byte by byte (ReferenceByteError).
+  Status DecodeReference(std::string_view body, uint64_t offset,
+                         std::string* out);
+
+  // The pending text run: a view into the current chunk while it is one
+  // undecoded piece, otherwise text_buf_.
+  void AddText(const char* data, size_t n);
+  std::string& TextBuffer();
   Status EmitText();
-  /// Decodes one reference; `text[*pos]` is the char after '&'. Mirrors
-  /// EventParser::AppendReference over in-memory tag text.
-  Status AppendReferenceAt(std::string_view text, size_t* pos,
-                           std::string* out, uint64_t text_offset);
 
   void CarryByte(char c);
   void CarryStart(char c);
 
-  uint64_t Offset() const;  // absolute offset of the next unread byte
+  std::string_view OpenTag() const;  // innermost open element's name
+
+  uint64_t OffsetOf(const char* p) const {
+    return end_offset_ - static_cast<uint64_t>(end_ - p);
+  }
+  uint64_t Offset() const { return OffsetOf(p_); }
   Status ErrorAt(uint64_t offset, std::string_view message);
   Status Error(std::string_view message) { return ErrorAt(Offset(), message); }
 
   SaxHandler* handler_;
-  ParseOptions options_;
+  bool skip_whitespace_text_;
 
   Mode mode_ = Mode::kProlog;
   Sub sub_ = Sub::kText;
@@ -149,12 +202,33 @@ class PushParser {
 
   std::string carry_;
   uint64_t carry_offset_ = 0;  // absolute offset of carry_[0]
-  char tag_quote_ = 0;         // active quote inside kStartTagAcc
+  char tag_quote_ = 0;         // active quote inside a start tag
   char doctype_quote_ = 0;
   int doctype_depth_ = 0;      // '[' nesting inside kDoctypeAcc
 
-  std::string pending_text_;
-  std::vector<std::string> open_tags_;
+  const char* text_view_ = nullptr;  // pending text in the chunk, if any
+  size_t text_view_size_ = 0;
+  std::string text_buf_;             // pending text otherwise
+
+  // Open element names, concatenated; open_ends_[i] is the end of the
+  // i-th name in open_names_.
+  std::string open_names_;
+  std::vector<uint32_t> open_ends_;
+
+  // The start tag being dispatched. Names and values are views into the
+  // tag, except values with references: those are decoded into attr_buf_
+  // (the byte ranges in decoded_).
+  struct DecodedValue {
+    size_t attr;  // index into attrs_
+    size_t begin;
+    size_t end;
+  };
+  std::string_view tag_name_;
+  bool self_closing_ = false;
+  std::vector<SaxAttribute> attrs_;
+  std::string attr_buf_;
+  std::vector<DecodedValue> decoded_;
+
   SkipScanner skipper_;
   bool skip_is_root_ = false;
 
@@ -165,13 +239,12 @@ class PushParser {
   bool finished_ = false;
   bool failed_ = false;
   Status final_status_;  // latched first error, or the Finish() result
+  uint64_t error_offset_ = kNoErrorOffset;
+  std::string error_detail_;
 
   uint64_t bytes_fed_ = 0;
   uint64_t bytes_skipped_ = 0;
   uint64_t peak_carry_ = 0;
-
-  std::vector<std::pair<std::string, std::string>> attr_storage_;
-  std::vector<SaxAttribute> attr_views_;
 };
 
 }  // namespace xmlreval::xml

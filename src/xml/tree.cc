@@ -9,27 +9,17 @@ namespace xmlreval::xml {
 
 namespace internal {
 
-uint32_t NodeColumns::PushRow(uint8_t flags, automata::Symbol symbol) {
-  if (size_ == capacity_) Grow(size_ + 1);
-  const uint32_t id = static_cast<uint32_t>(size_++);
-  parent_[id] = kInvalidNode;
-  first_child_[id] = kInvalidNode;
-  last_child_[id] = kInvalidNode;
-  next_sibling_[id] = kInvalidNode;
-  prev_sibling_[id] = kInvalidNode;
-  symbol_[id] = symbol;
-  flags_[id] = flags;
-  return id;
-}
-
 void NodeColumns::Grow(size_t min_capacity) {
   size_t cap = capacity_ == 0 ? 64 : capacity_ * 2;
   if (cap < min_capacity) cap = min_capacity;
-  // One block, seven column slices. The five link columns and the symbol
-  // column are uint32-aligned by construction (they come first); flags
-  // trail as raw bytes.
-  auto block = std::make_unique<unsigned char[]>(cap * kBytesPerRow);
-  NodeId* parent = reinterpret_cast<NodeId*>(block.get());
+  // Each block is sliced into columns widest first, so every column is
+  // aligned by construction. Only the first size_ rows are copied; the
+  // rest stay uninitialized until PushRow writes them. The hot block is
+  // replaced before the cold one is allocated, so the old hot block's
+  // memory is free again for the allocator to reuse.
+  auto hot = std::make_unique_for_overwrite<unsigned char[]>(
+      cap * kHotBytesPerRow);
+  NodeId* parent = reinterpret_cast<NodeId*>(hot.get());
   NodeId* first_child = parent + cap;
   NodeId* last_child = first_child + cap;
   NodeId* next_sibling = last_child + cap;
@@ -46,8 +36,7 @@ void NodeColumns::Grow(size_t min_capacity) {
     std::memcpy(symbol, symbol_, size_ * sizeof(automata::Symbol));
     std::memcpy(flags, flags_, size_ * sizeof(uint8_t));
   }
-  block_ = std::move(block);
-  capacity_ = cap;
+  block_ = std::move(hot);
   parent_ = parent;
   first_child_ = first_child;
   last_child_ = last_child;
@@ -55,10 +44,24 @@ void NodeColumns::Grow(size_t min_capacity) {
   prev_sibling_ = prev_sibling;
   symbol_ = symbol;
   flags_ = flags;
+
+  auto cold = std::make_unique_for_overwrite<unsigned char[]>(
+      cap * kColdBytesPerRow);
+  std::string_view* payload = reinterpret_cast<std::string_view*>(cold.get());
+  uint32_t* attr_slot = reinterpret_cast<uint32_t*>(payload + cap);
+  if (size_ != 0) {
+    std::memcpy(payload, payload_, size_ * sizeof(std::string_view));
+    std::memcpy(attr_slot, attr_slot_, size_ * sizeof(uint32_t));
+  }
+  cold_block_ = std::move(cold);
+  payload_ = payload;
+  attr_slot_ = attr_slot;
+  capacity_ = cap;
 }
 
 void NodeColumns::MoveFrom(NodeColumns& o) {
   block_ = std::move(o.block_);
+  cold_block_ = std::move(o.cold_block_);
   size_ = o.size_;
   capacity_ = o.capacity_;
   parent_ = o.parent_;
@@ -68,18 +71,22 @@ void NodeColumns::MoveFrom(NodeColumns& o) {
   prev_sibling_ = o.prev_sibling_;
   symbol_ = o.symbol_;
   flags_ = o.flags_;
+  payload_ = o.payload_;
+  attr_slot_ = o.attr_slot_;
   o.size_ = o.capacity_ = 0;
   o.parent_ = o.first_child_ = o.last_child_ = nullptr;
   o.next_sibling_ = o.prev_sibling_ = nullptr;
   o.symbol_ = nullptr;
   o.flags_ = nullptr;
+  o.payload_ = nullptr;
+  o.attr_slot_ = nullptr;
 }
 
 std::string_view StringArena::Add(std::string_view s) {
   if (s.empty()) return std::string_view();
   if (s.size() > last_capacity_ - last_used_) {
     size_t chunk = std::max(s.size(), kChunkSize);
-    chunks_.push_back(std::make_unique<char[]>(chunk));
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(chunk));
     last_capacity_ = chunk;
     last_used_ = 0;
     allocated_ += chunk;
@@ -94,19 +101,48 @@ std::string_view StringArena::Add(std::string_view s) {
 }  // namespace internal
 
 NodeId Document::CreateElement(std::string_view label) {
-  uint32_t id =
-      cols_.PushRow(internal::kFlagAlive, ResolveSymbol(label));
-  payload_.push_back(strings_.Add(label));
-  attr_slot_.push_back(kNoAttrSlot);
-  return static_cast<NodeId>(id);
+  return cols_.PushRow(internal::kFlagAlive, ResolveSymbol(label),
+                       strings_.Add(label));
 }
 
 NodeId Document::CreateText(std::string_view text) {
-  uint32_t id = cols_.PushRow(internal::kFlagAlive | internal::kFlagText,
-                              automata::kUnboundSymbol);
-  payload_.push_back(strings_.Add(text));
-  attr_slot_.push_back(kNoAttrSlot);
-  return static_cast<NodeId>(id);
+  return cols_.PushRow(internal::kFlagAlive | internal::kFlagText,
+                       automata::kUnboundSymbol, strings_.Add(text));
+}
+
+NodeId Document::AppendNewElement(NodeId parent, std::string_view label) {
+  XMLREVAL_CHECK(parent == kInvalidNode ? root_ == kInvalidNode
+                                        : IsAlive(parent) && IsElement(parent),
+                 "AppendNewElement needs a live element parent or no root");
+  const NodeId id = CreateElement(label);
+  LinkLast(parent, id);
+  return id;
+}
+
+NodeId Document::AppendNewText(NodeId parent, std::string_view text) {
+  XMLREVAL_CHECK(IsAlive(parent) && IsElement(parent),
+                 "AppendNewText needs a live element parent");
+  const NodeId id = CreateText(text);
+  LinkLast(parent, id);
+  return id;
+}
+
+void Document::LinkLast(NodeId parent, NodeId child) {
+  if (parent == kInvalidNode) {
+    root_ = child;
+    return;
+  }
+  NodeId* lasts = cols_.last_child();
+  const NodeId tail = lasts[parent];
+  cols_.parent()[child] = parent;
+  cols_.prev_sibling()[child] = tail;
+  cols_.next_sibling()[child] = kInvalidNode;
+  if (tail != kInvalidNode) {
+    cols_.next_sibling()[tail] = child;
+  } else {
+    cols_.first_child()[parent] = child;
+  }
+  lasts[parent] = child;
 }
 
 Status Document::CheckAttachable(NodeId node) const {
@@ -137,21 +173,7 @@ Status Document::AppendChild(NodeId parent, NodeId child) {
     return Status::InvalidArgument("parent must be a live element");
   }
   RETURN_IF_ERROR(CheckAttachable(child));
-  NodeId* parents = cols_.parent();
-  NodeId* firsts = cols_.first_child();
-  NodeId* lasts = cols_.last_child();
-  NodeId* nexts = cols_.next_sibling();
-  NodeId* prevs = cols_.prev_sibling();
-  const NodeId tail = lasts[parent];
-  parents[child] = parent;
-  prevs[child] = tail;
-  nexts[child] = kInvalidNode;
-  if (tail != kInvalidNode) {
-    nexts[tail] = child;
-  } else {
-    firsts[parent] = child;
-  }
-  lasts[parent] = child;
+  LinkLast(parent, child);
   return Status::OK();
 }
 
@@ -261,17 +283,18 @@ Status Document::Rename(NodeId node, std::string_view new_label) {
 }
 
 void Document::ReplacePayload(NodeId id, std::string_view bytes) {
-  std::string_view current = payload_[id];
+  std::string_view& payload = cols_.payload()[id];
+  const std::string_view current = payload;
   if (bytes.size() <= current.size() && !current.empty()) {
     // Shrinking (or equal-size) edits reuse the node's existing arena
     // range; the bytes are exclusively this node's, so the overwrite is
     // invisible to every other payload.
     char* dst = const_cast<char*>(current.data());
     std::memcpy(dst, bytes.data(), bytes.size());
-    payload_[id] = std::string_view(dst, bytes.size());
+    payload = std::string_view(dst, bytes.size());
     return;
   }
-  payload_[id] = strings_.Add(bytes);
+  payload = strings_.Add(bytes);
 }
 
 automata::Symbol Document::ResolveSymbol(std::string_view label) {
@@ -291,7 +314,7 @@ Status Document::Bind(std::shared_ptr<const automata::Alphabet> alphabet) {
   automata::Symbol* symbols = cols_.symbol();
   for (size_t id = 0; id < cols_.size(); ++id) {
     if (flags[id] != internal::kFlagAlive) continue;  // element + alive
-    auto sym = bound_alphabet_->Find(payload_[id]);
+    auto sym = bound_alphabet_->Find(cols_.payload()[id]);
     symbols[id] = sym ? *sym : automata::kUnboundSymbol;
   }
   return Status::OK();
@@ -305,7 +328,7 @@ Status Document::BindInterning(std::shared_ptr<automata::Alphabet> alphabet) {
   automata::Symbol* symbols = cols_.symbol();
   for (size_t id = 0; id < cols_.size(); ++id) {
     if (flags[id] != internal::kFlagAlive) continue;
-    symbols[id] = intern_alphabet_->Intern(payload_[id]);
+    symbols[id] = intern_alphabet_->Intern(cols_.payload()[id]);
   }
   return Status::OK();
 }
@@ -343,11 +366,10 @@ std::vector<NodeId> Document::Children(NodeId id) const {
 }
 
 std::vector<Attribute>& Document::MutableAttributes(NodeId id) {
-  uint32_t slot = attr_slot_[id];
-  if (slot == kNoAttrSlot) {
+  uint32_t& slot = cols_.attr_slot()[id];
+  if (slot == internal::kNoAttrSlot) {
     slot = static_cast<uint32_t>(attr_slots_.size());
     attr_slots_.emplace_back();
-    attr_slot_[id] = slot;
   }
   return attr_slots_[slot];
 }
@@ -386,8 +408,8 @@ Status Document::RemoveAttribute(NodeId id, std::string_view name) {
   if (!IsAlive(id) || !IsElement(id)) {
     return Status::InvalidArgument("attributes require a live element");
   }
-  uint32_t slot = attr_slot_[id];
-  if (slot == kNoAttrSlot) return Status::OK();
+  uint32_t slot = cols_.attr_slot()[id];
+  if (slot == internal::kNoAttrSlot) return Status::OK();
   auto& attrs = attr_slots_[slot];
   for (auto it = attrs.begin(); it != attrs.end(); ++it) {
     if (it->name == name) {
@@ -432,8 +454,7 @@ bool Document::HasOnlyWhitespaceText(NodeId id) const {
 Document::MemoryStats Document::MemoryUsage() const {
   MemoryStats stats;
   stats.topology_bytes = cols_.arena_bytes();
-  stats.payload_ref_bytes = payload_.capacity() * sizeof(std::string_view) +
-                            attr_slot_.capacity() * sizeof(uint32_t);
+  stats.payload_ref_bytes = cols_.cold_bytes();
   stats.string_arena_bytes = strings_.allocated_bytes();
   stats.attribute_bytes = attr_slots_.capacity() * sizeof(attr_slots_[0]);
   for (const auto& slot : attr_slots_) {

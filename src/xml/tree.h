@@ -65,10 +65,17 @@ namespace internal {
 inline constexpr uint8_t kFlagAlive = 0x1;
 inline constexpr uint8_t kFlagText = 0x2;
 
-/// The hot columns: one malloc'd block sliced into seven parallel arrays
-/// (5 × NodeId links, 1 × Symbol, 1 × uint8 flags — 25 bytes/node, vs the
-/// ~120-byte AoS node this replaced). Growth copies column-by-column so
-/// each array stays dense and contiguous.
+/// Slot index of an attribute-free node.
+inline constexpr uint32_t kNoAttrSlot = 0xFFFFFFFFu;
+
+/// All per-node columns, grown together, so a new row costs one capacity
+/// check however many columns there are. Seven are hot, sliced from one
+/// malloc'd block (5 × NodeId links, 1 × Symbol, 1 × uint8 flags — 25
+/// bytes/node, vs the ~120-byte AoS node this replaced); two are cold
+/// and never read by a walk, sliced from a second block (the payload view
+/// and the attribute slot — 20 bytes/node). Growth copies column-by-column
+/// so each array stays dense and contiguous; rows past size() are
+/// uninitialized.
 class NodeColumns {
  public:
   NodeColumns() = default;
@@ -83,8 +90,23 @@ class NodeColumns {
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
 
-  /// Appends one row with all links kInvalidNode; returns its index.
-  uint32_t PushRow(uint8_t flags, automata::Symbol symbol);
+  /// Appends one row with all links kInvalidNode and no attribute slot;
+  /// returns its index.
+  uint32_t PushRow(uint8_t flags, automata::Symbol symbol,
+                   std::string_view payload) {
+    if (size_ == capacity_) Grow(size_ + 1);
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    parent_[id] = kInvalidNode;
+    first_child_[id] = kInvalidNode;
+    last_child_[id] = kInvalidNode;
+    next_sibling_[id] = kInvalidNode;
+    prev_sibling_[id] = kInvalidNode;
+    symbol_[id] = symbol;
+    flags_[id] = flags;
+    payload_[id] = payload;
+    attr_slot_[id] = kNoAttrSlot;
+    return id;
+  }
 
   // Column base pointers (valid until the next PushRow).
   NodeId* parent() { return parent_; }
@@ -94,6 +116,8 @@ class NodeColumns {
   NodeId* prev_sibling() { return prev_sibling_; }
   automata::Symbol* symbol() { return symbol_; }
   uint8_t* flags() { return flags_; }
+  std::string_view* payload() { return payload_; }
+  uint32_t* attr_slot() { return attr_slot_; }
   const NodeId* parent() const { return parent_; }
   const NodeId* first_child() const { return first_child_; }
   const NodeId* last_child() const { return last_child_; }
@@ -101,18 +125,25 @@ class NodeColumns {
   const NodeId* prev_sibling() const { return prev_sibling_; }
   const automata::Symbol* symbol() const { return symbol_; }
   const uint8_t* flags() const { return flags_; }
+  const std::string_view* payload() const { return payload_; }
+  const uint32_t* attr_slot() const { return attr_slot_; }
 
-  /// Bytes of the arena block (the hot footprint MemoryUsage reports).
-  size_t arena_bytes() const { return capacity_ * kBytesPerRow; }
+  /// Bytes of the hot columns (the topology footprint MemoryUsage reports).
+  size_t arena_bytes() const { return capacity_ * kHotBytesPerRow; }
+  /// Bytes of the cold columns (payload views and attribute slots).
+  size_t cold_bytes() const { return capacity_ * kColdBytesPerRow; }
 
  private:
-  static constexpr size_t kBytesPerRow =
+  static constexpr size_t kHotBytesPerRow =
       5 * sizeof(NodeId) + sizeof(automata::Symbol) + sizeof(uint8_t);
+  static constexpr size_t kColdBytesPerRow =
+      sizeof(std::string_view) + sizeof(uint32_t);
 
   void Grow(size_t min_capacity);
   void MoveFrom(NodeColumns& o);
 
-  std::unique_ptr<unsigned char[]> block_;
+  std::unique_ptr<unsigned char[]> block_;       // hot columns
+  std::unique_ptr<unsigned char[]> cold_block_;  // payload, attr_slot
   size_t size_ = 0;
   size_t capacity_ = 0;
   NodeId* parent_ = nullptr;
@@ -122,6 +153,8 @@ class NodeColumns {
   NodeId* prev_sibling_ = nullptr;
   automata::Symbol* symbol_ = nullptr;
   uint8_t* flags_ = nullptr;
+  std::string_view* payload_ = nullptr;  // label (element) / text (text)
+  uint32_t* attr_slot_ = nullptr;        // kNoAttrSlot when attribute-free
 };
 
 /// Chunked append-only byte arena for label/text payloads. Chunks never
@@ -165,6 +198,16 @@ class Document {
 
   /// Creates a detached text node with the given character data.
   NodeId CreateText(std::string_view text);
+
+  /// Creates an element and appends it as the last child of `parent`, or
+  /// makes it the root when `parent` is kInvalidNode. The one-step form
+  /// for builders that create nodes in document order: `parent` must be a
+  /// live element, or kInvalidNode on a rootless document (aborts
+  /// otherwise).
+  NodeId AppendNewElement(NodeId parent, std::string_view label);
+
+  /// Creates a text node as the last child of `parent`, a live element.
+  NodeId AppendNewText(NodeId parent, std::string_view text);
 
   /// Sets the document root. The node must be a detached element.
   Status SetRoot(NodeId node);
@@ -267,14 +310,14 @@ class Document {
   /// the document's string arena: stable across edits and moves (arena
   /// chunks never move or shrink).
   std::string_view label(NodeId id) const {
-    return IsElement(id) ? payload_[id] : std::string_view();
+    return IsElement(id) ? cols_.payload()[id] : std::string_view();
   }
 
   /// Character data of a text node, or empty for elements. Stability as
   /// for label(), EXCEPT that SetText may overwrite the bytes in place —
   /// don't cache text views across text edits to the same node.
   std::string_view text(NodeId id) const {
-    return IsText(id) ? payload_[id] : std::string_view();
+    return IsText(id) ? cols_.payload()[id] : std::string_view();
   }
 
   NodeId parent(NodeId id) const { return cols_.parent()[id]; }
@@ -295,8 +338,9 @@ class Document {
 
   /// Attributes of an element node.
   const std::vector<Attribute>& attributes(NodeId id) const {
-    uint32_t slot = attr_slot_[id];
-    return slot == kNoAttrSlot ? EmptyAttributes() : attr_slots_[slot];
+    uint32_t slot = cols_.attr_slot()[id];
+    return slot == internal::kNoAttrSlot ? EmptyAttributes()
+                                         : attr_slots_[slot];
   }
 
   /// Adds an attribute to an element node (no duplicate-name check; the
@@ -377,7 +421,7 @@ class Document {
   /// O(attribute slots); meant for gauges and bench stamps, not hot paths.
   struct MemoryStats {
     size_t topology_bytes = 0;      // hot column arena (flags..siblings)
-    size_t payload_ref_bytes = 0;   // cold per-node payload views
+    size_t payload_ref_bytes = 0;   // cold columns: payload views, slots
     size_t string_arena_bytes = 0;  // label/text byte chunks (allocated)
     size_t attribute_bytes = 0;     // side table incl. string capacities
     size_t total() const {
@@ -388,14 +432,16 @@ class Document {
   MemoryStats MemoryUsage() const;
 
  private:
-  static constexpr uint32_t kNoAttrSlot = 0xFFFFFFFFu;
-
   static const std::vector<Attribute>& EmptyAttributes() {
     static const std::vector<Attribute> empty;
     return empty;
   }
 
   Status CheckAttachable(NodeId node) const;
+
+  /// Links detached `child` as the last child of `parent`, or as the root
+  /// when `parent` is kInvalidNode. Unchecked.
+  void LinkLast(NodeId parent, NodeId child);
 
   /// Resolves `label` through the current binding (intern or find).
   automata::Symbol ResolveSymbol(std::string_view label);
@@ -410,9 +456,6 @@ class Document {
 
   internal::NodeColumns cols_;
   internal::StringArena strings_;
-  // Cold per-node columns (never touched by the traversal loops).
-  std::vector<std::string_view> payload_;  // label (element) / text (text)
-  std::vector<uint32_t> attr_slot_;        // kNoAttrSlot when attribute-free
   std::vector<std::vector<Attribute>> attr_slots_;
 
   NodeId root_ = kInvalidNode;

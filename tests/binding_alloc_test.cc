@@ -1,4 +1,4 @@
-// Allocation discipline of the bound validation hot loop.
+// Allocation discipline of the bound validation hot loop and the tokenizer.
 //
 // Replaces global operator new/delete with counting versions and checks
 // that cast-validating a BOUND document with a warmed CastScratch performs
@@ -6,6 +6,7 @@
 // simple-value buffer both live in caller-owned scratch whose capacity
 // survives across runs, and the single-text-child fast path validates a
 // string_view straight out of the document without materializing anything.
+// Feeding a warmed PushParser more tags allocates nothing either.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cast_validator.h"
@@ -23,6 +26,7 @@
 #include "tests/test_util.h"
 #include "workload/po_generator.h"
 #include "workload/po_schemas.h"
+#include "xml/push_parser.h"
 #include "xml/tree.h"
 
 namespace {
@@ -216,6 +220,49 @@ TEST(BindingAllocTest, ShrinkingRenameAndSetTextAreZeroAllocation) {
   EXPECT_EQ(doc.text(t), "42");
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
       << "shrinking payload edits should reuse the arena bytes in place";
+}
+
+// A warmed tokenizer allocates nothing per tag or attribute: names and
+// undecoded values are views into the chunk, and the open-tag stack, the
+// attribute list, the decode buffers and the carry buffer keep their
+// capacity across tags. Fed whole and in 7-byte pieces (every construct
+// then crosses a chunk boundary and goes through the carry buffer).
+TEST(BindingAllocTest, WarmPushParserAllocatesNothingPerTag) {
+  std::string items;
+  for (int i = 0; i < 64; ++i) {
+    items +=
+        "<item partNum=\"872-AA\" note='a&amp;b'>\n"
+        "  <productName>Widget &amp; co</productName>"
+        "<quantity>3</quantity><comment><![CDATA[x]]><!-- c --></comment>\n"
+        "</item>\n";
+  }
+  for (size_t chunk : {items.size(), size_t{7}}) {
+    xml::SaxHandler null_handler;
+    xml::PushParser parser(&null_handler);
+    ASSERT_OK(parser.Feed("<purchaseOrder>"));
+    auto feed_items = [&] {
+      Status status = Status::OK();
+      for (size_t pos = 0; pos < items.size() && status.ok(); pos += chunk) {
+        status = parser.Feed(std::string_view(items).substr(pos, chunk));
+      }
+      return status;
+    };
+    ASSERT_OK(feed_items());  // warm-up: buffers reach their capacity
+
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    Status status = Status::OK();
+    for (int round = 0; round < 8 && status.ok(); ++round) {
+      status = feed_items();
+    }
+    g_counting.store(false, std::memory_order_relaxed);
+
+    ASSERT_OK(status);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+        << "steady-state tokenizing allocated (chunk=" << chunk << ")";
+    ASSERT_OK(parser.Feed("</purchaseOrder>"));
+    ASSERT_OK(parser.Finish());
+  }
 }
 
 // The observability layer must not change the hot loop's allocation

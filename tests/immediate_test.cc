@@ -99,7 +99,7 @@ TEST(ImmediatePairTest, VerdictMatchesMembershipForSourceStrings) {
 // agree on the outcome "in L(a) → in L(b)" (accept) or "not in L(a)∩L(b)"
 // (reject).
 class OptimalityProperty
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(OptimalityProperty, DecidesAtTheEarliestSafePoint) {
   Alphabet alphabet;
@@ -139,6 +139,8 @@ TEST_P(OptimalityProperty, DecidesAtTheEarliestSafePoint) {
   });
 }
 
+// Parameters are std::string, not const char*, so the printed values (and
+// the test names derived from them) hold the regexes rather than addresses.
 INSTANTIATE_TEST_SUITE_P(
     Pairs, OptimalityProperty,
     ::testing::Values(

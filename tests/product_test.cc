@@ -143,7 +143,7 @@ namespace {
 // directly by re-rooting each automaton at the pair's states and running
 // the language-containment test.
 class Theorem4Equivalence
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(Theorem4Equivalence, DefinitionsAgree) {
   Alphabet alphabet;
@@ -164,6 +164,8 @@ TEST_P(Theorem4Equivalence, DefinitionsAgree) {
   }
 }
 
+// Parameters are std::string, not const char*, so the printed values (and
+// the test names derived from them) hold the regexes rather than addresses.
 INSTANTIATE_TEST_SUITE_P(
     Pairs, Theorem4Equivalence,
     ::testing::Values(std::make_pair("(a,b?,c)", "(a,b,c)"),

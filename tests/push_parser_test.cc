@@ -7,40 +7,14 @@
 #include <vector>
 
 #include "common/status.h"
+#include "tests/event_golden.h"
 #include "tests/test_util.h"
 #include "xml/sax.h"
 
 namespace xmlreval::xml {
 namespace {
 
-// Records events as compact strings: "+tag a=v", "-tag", "t:text", "d:name".
-class Recorder : public SaxHandler {
- public:
-  Status Doctype(std::string_view name, std::string_view subset) override {
-    events.push_back("d:" + std::string(name) + "[" + std::string(subset) +
-                     "]");
-    return Status::OK();
-  }
-  Status StartElement(std::string_view name,
-                      const std::vector<SaxAttribute>& attrs) override {
-    std::string e = "+" + std::string(name);
-    for (const SaxAttribute& a : attrs) {
-      e += " " + std::string(a.name) + "=" + std::string(a.value);
-    }
-    events.push_back(e);
-    return Status::OK();
-  }
-  Status EndElement(std::string_view name) override {
-    events.push_back("-" + std::string(name));
-    return Status::OK();
-  }
-  Status Characters(std::string_view text) override {
-    events.push_back("t:" + std::string(text));
-    return Status::OK();
-  }
-
-  std::vector<std::string> events;
-};
+using Recorder = testutil::EventRecorder;
 
 struct PushOutcome {
   Status status = Status::OK();
@@ -68,19 +42,18 @@ PushOutcome RunPush(std::string_view doc, size_t chunk,
 
 const size_t kChunks[] = {1, 2, 3, 5, 17, 4096};
 
-// For every chunking, the push parser must agree with the one-shot event
-// parser on events and success, and with its own one-shot run byte for
-// byte (including the error message, whose offsets must not depend on
-// chunk boundaries).
+// For every chunking, the push parser must reproduce the golden event
+// stream and status code recorded for `doc` (tests/event_golden.h), and
+// agree with its own one-shot run byte for byte — including the error
+// message, whose offsets must not depend on chunk boundaries.
 void ExpectParity(std::string_view doc, const ParseOptions& options = {}) {
-  Recorder reference;
-  Status ref_status = ParseXmlEvents(doc, &reference, options);
+  const testutil::GoldenCase* golden = testutil::LoadEventGolden().Find(
+      doc, !options.skip_whitespace_text);
+  ASSERT_NE(golden, nullptr) << "no golden case for " << doc;
   PushOutcome oneshot = RunPush(doc, doc.size() ? doc.size() : 1, options);
-  EXPECT_EQ(oneshot.status.ok(), ref_status.ok()) << doc;
-  if (!ref_status.ok()) {
-    EXPECT_EQ(oneshot.status.code(), ref_status.code()) << doc;
-  } else {
-    EXPECT_EQ(oneshot.events, reference.events) << doc;
+  EXPECT_EQ(oneshot.status.code(), golden->code) << doc;
+  if (golden->code == StatusCode::kOk) {
+    EXPECT_EQ(oneshot.events, golden->events) << doc;
   }
   for (size_t chunk : kChunks) {
     PushOutcome chunked = RunPush(doc, chunk, options);
@@ -140,6 +113,62 @@ TEST(PushParserTest, MalformedCorpusParity) {
       "<a/><!-- ok --><![CDATA[no]]>",
   };
   for (std::string_view doc : docs) ExpectParity(doc);
+
+  // References to code points outside XML 1.0's Char production, in text
+  // and in attribute values. The golden predates their rejection, so they
+  // are checked here: a parse error under every chunking, same message.
+  const std::string_view non_chars[] = {
+      "<a>&#0;</a>",         "<a>&#1;</a>",
+      "<a>&#xD800;</a>",     "<a>&#xFFFE;</a>",
+      "<a v=\"&#0;\"/>",     "<a v=\"&#1;\"/>",
+      "<a v=\"&#xD800;\"/>", "<a v='x&#xFFFE;'/>",
+  };
+  for (std::string_view doc : non_chars) {
+    PushOutcome oneshot = RunPush(doc, doc.size());
+    EXPECT_EQ(oneshot.status.code(), StatusCode::kParseError) << doc;
+    EXPECT_NE(oneshot.status.message().find("invalid character reference"),
+              std::string::npos)
+        << doc << ": " << oneshot.status.message();
+    for (size_t chunk : kChunks) {
+      EXPECT_EQ(RunPush(doc, chunk).status.message(),
+                oneshot.status.message())
+          << doc << " chunk=" << chunk;
+    }
+  }
+}
+
+TEST(PushParserTest, CharacterReferenceBoundariesAreAccepted) {
+  // The edges of each Char range decode; whitespace references survive
+  // whitespace skipping because the text run also holds "x".
+  const std::string doc =
+      "<a v=\"&#x9;&#x10FFFF;\">x&#x9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;"
+      "&#xFFFD;&#x10000;&#x10FFFF;</a>";
+  for (size_t chunk : kChunks) {
+    PushOutcome out = RunPush(doc, chunk);
+    ASSERT_OK(out.status);
+    EXPECT_EQ(out.events,
+              (std::vector<std::string>{
+                  "+a v=\t\xF4\x8F\xBF\xBF",
+                  "t:x\t\n\r \xED\x9F\xBF\xEE\x80\x80\xEF\xBF\xBD"
+                  "\xF0\x90\x80\x80\xF4\x8F\xBF\xBF",
+                  "-a"}))
+        << "chunk=" << chunk;
+  }
+}
+
+TEST(PushParserTest, OneShotFeedCarriesNothing) {
+  // Every construct lies wholly inside the single chunk, so all of it is
+  // parsed in place from the caller's bytes.
+  const std::string doc =
+      "<?xml version=\"1.0\"?><!-- c --><root a=\"1&amp;2\" b='x'>"
+      "text &lt;more&gt; <![CDATA[raw]]><?pi?><child/><x>y</x></root>";
+  PushOutcome out = RunPush(doc, doc.size());
+  ASSERT_OK(out.status);
+  EXPECT_EQ(out.peak_carry, 0u);
+  EXPECT_EQ(out.events,
+            (std::vector<std::string>{"+root a=1&2 b=x", "t:text <more> raw",
+                                      "+child", "-child", "+x", "t:y", "-x",
+                                      "-root"}));
 }
 
 TEST(PushParserTest, EveryPrefixOfValidDocFails) {

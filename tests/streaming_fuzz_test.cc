@@ -21,47 +21,12 @@
 #include "core/cast_validator.h"
 #include "core/relations.h"
 #include "core/streaming_validator.h"
-#include "schema/abstract_schema.h"
+#include "tests/streaming_fuzz_corpus.h"
 #include "tests/test_util.h"
-#include "workload/random_docs.h"
-#include "workload/random_schemas.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xmlreval::core {
 namespace {
-
-using schema::Schema;
-
-struct RandomPair {
-  std::shared_ptr<schema::Alphabet> alphabet;
-  std::unique_ptr<Schema> source;
-  std::unique_ptr<Schema> target;
-  std::unique_ptr<TypeRelations> relations;
-};
-
-RandomPair MakePair(uint64_t seed) {
-  RandomPair pair;
-  pair.alphabet = std::make_shared<schema::Alphabet>();
-  workload::RandomSchemaOptions schema_options;
-  schema_options.seed = seed;
-  schema_options.complex_types = 3 + seed % 5;
-  auto source = workload::GenerateRandomSchema(pair.alphabet, schema_options);
-  EXPECT_TRUE(source.ok()) << source.status().ToString();
-  pair.source = std::make_unique<Schema>(std::move(source).value());
-  workload::MutationOptions mutation_options;
-  mutation_options.seed = seed * 13 + 5;
-  mutation_options.mutations = seed % 5;  // 0 = identical pair: max skipping
-  auto target = workload::MutateSchema(*pair.source, mutation_options);
-  EXPECT_TRUE(target.ok()) << target.status().ToString();
-  pair.target = std::make_unique<Schema>(std::move(target).value());
-  auto relations =
-      TypeRelations::Compute(pair.source.get(), pair.target.get());
-  EXPECT_TRUE(relations.ok()) << relations.status().ToString();
-  pair.relations =
-      std::make_unique<TypeRelations>(std::move(relations).value());
-  return pair;
-}
 
 StreamingReport RunSession(const TypeRelations& relations,
                            std::string_view text, std::mt19937_64* rng) {
@@ -119,46 +84,35 @@ class StreamingFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StreamingFuzz, SessionAgreesWithDomPipeline) {
   const uint64_t shard = GetParam();
-  std::mt19937_64 rng(0x5eed0000 + shard);
+  // Chunk sizes come from their own generator, so the documents depend on
+  // the shard alone (tests/streaming_fuzz_corpus.h).
+  std::mt19937_64 chunk_rng(0xc4a2c000 + shard);
   uint64_t total_skipped_bytes = 0;
   uint64_t docs = 0;
 
-  for (uint64_t pair_seed = 1; pair_seed <= 7; ++pair_seed) {
-    RandomPair pair = MakePair(shard * 101 + pair_seed);
-    for (uint64_t doc_seed = 1; doc_seed <= 90; ++doc_seed) {
-      workload::RandomDocOptions options;
-      options.seed = doc_seed * 61 + shard;
-      options.root_label = "root";
-      options.max_elements = 1 + static_cast<size_t>(rng() % 60);
-      auto doc = workload::SampleDocument(*pair.source, options);
-      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-      std::string text = xml::Serialize(*doc);
+  testutil::ForEachFuzzDocument(shard, [&](const testutil::FuzzSchemaPair& pair,
+                                           uint64_t pair_seed,
+                                           uint64_t doc_seed,
+                                           const std::string& text) {
+    ++docs;
+    std::string context = "shard=" + std::to_string(shard) +
+                          " pair=" + std::to_string(pair_seed) +
+                          " doc=" + std::to_string(doc_seed);
 
-      // Every third document is truncated at a random byte so cuts land
-      // mid-tag, mid-text, and mid-skip.
-      if (docs % 3 == 2 && text.size() > 1) {
-        text.resize(1 + rng() % (text.size() - 1));
-      }
-      ++docs;
-      std::string context = "shard=" + std::to_string(shard) +
-                            " pair=" + std::to_string(pair_seed) +
-                            " doc=" + std::to_string(doc_seed);
+    StreamingReport chunked = RunSession(*pair.relations, text, &chunk_rng);
+    StreamingReport oneshot = RunSession(*pair.relations, text, nullptr);
+    ExpectReportsIdentical(chunked, oneshot, context);
+    total_skipped_bytes += chunked.bytes_skipped;
 
-      StreamingReport chunked = RunSession(*pair.relations, text, &rng);
-      StreamingReport oneshot = RunSession(*pair.relations, text, nullptr);
-      ExpectReportsIdentical(chunked, oneshot, context);
-      total_skipped_bytes += chunked.bytes_skipped;
-
-      DomVerdict dom = DomCast(*pair.relations, text);
-      if (!dom.parsed) {
-        EXPECT_FALSE(chunked.valid) << context << "\ntext: " << text;
-      } else {
-        EXPECT_EQ(chunked.valid, dom.valid)
-            << context << "\nstream: " << chunked.violation
-            << "\ndom: " << dom.violation << "\ntext: " << text;
-      }
+    DomVerdict dom = DomCast(*pair.relations, text);
+    if (!dom.parsed) {
+      EXPECT_FALSE(chunked.valid) << context << "\ntext: " << text;
+    } else {
+      EXPECT_EQ(chunked.valid, dom.valid)
+          << context << "\nstream: " << chunked.violation
+          << "\ndom: " << dom.violation << "\ntext: " << text;
     }
-  }
+  });
   EXPECT_GE(docs, 630u);
   // The corpus includes identical source/target pairs, so the raw-byte
   // skip path must actually fire.
@@ -167,7 +121,7 @@ TEST_P(StreamingFuzz, SessionAgreesWithDomPipeline) {
 
 // 16 shards x 630 documents ≈ 10k fuzzed documents.
 INSTANTIATE_TEST_SUITE_P(Shards, StreamingFuzz,
-                         ::testing::Range<uint64_t>(0, 16));
+                         ::testing::Range<uint64_t>(0, testutil::kFuzzShards));
 
 }  // namespace
 }  // namespace xmlreval::core

@@ -103,10 +103,47 @@ TEST(XmlParserTest, WellFormednessErrors) {
 }
 
 TEST(XmlParserTest, ErrorsCarryLineAndColumn) {
-  Result<Document> result = ParseXml("<a>\n  <b>\n</a>");
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("3:"), std::string::npos)
-      << result.status().message();
+  // Lines count '\n'; columns count bytes from 1. The position is where
+  // the offending construct starts, or the end of input for truncation.
+  struct Case {
+    const char* doc;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"<a>\n  <b>\n</a>",
+       "XML parse error at 3:1: mismatched closing tag '</a>'; open element "
+       "is 'b'"},
+      {"<root>\n  <a>\n    <b></a>\n</root>",
+       "XML parse error at 3:8: mismatched closing tag '</a>'; open element "
+       "is 'b'"},
+      {"<root>\n<item id=\"1\" bad></item>\n</root>",
+       "XML parse error at 2:17: expected '=' after attribute name"},
+      {"<root>\n  <a>text",
+       "XML parse error at 2:10: unexpected end of input inside 'a'"},
+  };
+  for (const Case& c : cases) {
+    Result<Document> result = ParseXml(c.doc);
+    ASSERT_FALSE(result.ok()) << c.doc;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << c.doc;
+    EXPECT_EQ(result.status().message(), c.message) << c.doc;
+  }
+}
+
+TEST(XmlParserTest, RejectsNonCharacterReferences) {
+  // XML 1.0 [2] Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+  // [#x10000-#x10FFFF]. Anything else may not be named by a reference.
+  for (const char* ref : {"&#0;", "&#1;", "&#xD800;", "&#xFFFE;"}) {
+    for (const std::string& doc :
+         {"<e>" + std::string(ref) + "</e>",
+          "<e a=\"" + std::string(ref) + "\"/>"}) {
+      Result<Document> result = ParseXml(doc);
+      ASSERT_FALSE(result.ok()) << doc;
+      EXPECT_EQ(result.status().code(), StatusCode::kParseError) << doc;
+      EXPECT_NE(result.status().message().find("invalid character reference"),
+                std::string::npos)
+          << doc << ": " << result.status().message();
+    }
+  }
 }
 
 TEST(XmlParserTest, ExtractsDoctypeInternalSubset) {
