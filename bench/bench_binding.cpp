@@ -11,8 +11,14 @@
 // BM_ParseXml times what comes before the walk on the same purchase
 // orders, serialized (100 and 1000 items): the tokenizer alone (PushParser
 // into a null handler, one Feed), a one-shot ParseXml, and a PushParser
-// fed 64 KiB chunks into a DomBuilder. Everything lands in
-// BENCH_binding.json for CI consumption; tokenize_ns_per_byte is gated.
+// fed 64 KiB chunks into a DomBuilder.
+//
+// BM_SkipScan times the experiment-1 skip path alone: xml::SkipScanner
+// over the <items> body of a serialized 10,000-item purchase order, fed in
+// 64 KiB chunks, as a streaming cast hands it a subsumed subtree.
+//
+// Everything lands in BENCH_binding.json for CI consumption;
+// tokenize_ns_per_byte and skip_ns_per_byte are gated.
 
 #include <algorithm>
 #include <chrono>
@@ -26,13 +32,14 @@
 #include "xml/parser.h"
 #include "xml/push_parser.h"
 #include "xml/serializer.h"
+#include "xml/skip_scanner.h"
 
 namespace {
 
 using namespace xmlreval;
 
 // Median ns per input byte of `parse` over `reps` timed runs, after
-// warm-up; `parse` returns false on a parse failure, which aborts.
+// warm-up; `parse` returns false on a failure, which aborts.
 template <typename Parse>
 double MedianNsPerByte(size_t bytes, int reps, Parse&& parse) {
   using Clock = std::chrono::steady_clock;
@@ -44,7 +51,7 @@ double MedianNsPerByte(size_t bytes, int reps, Parse&& parse) {
     const bool ok = parse();
     auto stop = Clock::now();
     if (!ok) {
-      std::fprintf(stderr, "BM_ParseXml: parse failed\n");
+      std::fprintf(stderr, "bench_binding: parse failed\n");
       std::abort();
     }
     if (rep >= kWarmup) {
@@ -99,6 +106,45 @@ ParseCosts BM_ParseXml(size_t items) {
     return builder.Take().document.has_root();
   });
   return costs;
+}
+
+// Median ns per byte of SkipScanner over the <items> body (from just past
+// its start tag's '>' through its end tag) of a 10,000-item order.
+double BM_SkipScan() {
+  constexpr int kReps = 41;
+  constexpr size_t kChunkBytes = 64 * 1024;
+  workload::PoGeneratorOptions options;
+  options.item_count = 10000;
+  const std::string text =
+      xml::Serialize(workload::GeneratePurchaseOrder(options));
+  const size_t open = text.find("<items>");
+  const size_t close = text.rfind("</items>");
+  if (open == std::string::npos || close == std::string::npos) {
+    std::fprintf(stderr, "BM_SkipScan: no <items> element\n");
+    std::abort();
+  }
+  const std::string_view body = std::string_view(text).substr(
+      open + 7, close + 8 - (open + 7));
+  xml::SkipScanner scanner;
+  const double ns = MedianNsPerByte(body.size(), kReps, [&] {
+    scanner.Begin();
+    for (size_t pos = 0; pos < body.size(); pos += kChunkBytes) {
+      size_t consumed = 0;
+      switch (scanner.Scan(body.substr(pos, kChunkBytes), &consumed)) {
+        case xml::SkipScanner::Result::kNeedMore:
+          break;
+        case xml::SkipScanner::Result::kDone:
+          return pos + consumed == body.size();
+        case xml::SkipScanner::Result::kError:
+          return false;
+      }
+    }
+    return false;
+  });
+  std::printf("\nBM_SkipScan: <items> body of a 10000-item order (%zu bytes), "
+              "64 KiB chunks\n%-24s %10.3f ns/byte\n",
+              body.size(), "skip scan", ns);
+  return ns;
 }
 
 }  // namespace
@@ -178,6 +224,8 @@ int main(int argc, char** argv) {
                 c->push_dom_ns_per_byte);
   }
 
+  const double skip_ns_per_byte = BM_SkipScan();
+
   bench::WriteBenchJson(
       "BENCH_binding.json", "bench_binding",
       {{"hardware_concurrency", double(std::thread::hardware_concurrency())},
@@ -191,7 +239,8 @@ int main(int argc, char** argv) {
        {"parse_ns_per_byte_100", small.parse_ns_per_byte},
        {"parse_ns_per_byte_1000", large.parse_ns_per_byte},
        {"push_dom_ns_per_byte_100", small.push_dom_ns_per_byte},
-       {"push_dom_ns_per_byte_1000", large.push_dom_ns_per_byte}});
+       {"push_dom_ns_per_byte_1000", large.push_dom_ns_per_byte},
+       {"skip_ns_per_byte", skip_ns_per_byte}});
   std::printf("\nwrote BENCH_binding.json\n");
   return bound_nodes == nodes ? 0 : 1;
 }

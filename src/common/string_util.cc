@@ -70,15 +70,6 @@ std::vector<std::string_view> SplitString(std::string_view s, char sep) {
   }
 }
 
-bool IsNameStartChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
-
 bool IsValidXmlName(std::string_view s) {
   if (s.empty() || !IsNameStartChar(s[0])) return false;
   for (size_t i = 1; i < s.size(); ++i) {

@@ -19,7 +19,7 @@ std::string_view TrimWhitespace(std::string_view s);
 std::vector<std::string_view> SplitString(std::string_view s, char sep);
 
 /// True iff `c` is XML whitespace (space, tab, CR, LF).
-inline bool IsXmlWhitespace(char c) {
+constexpr bool IsXmlWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
 
@@ -30,10 +30,17 @@ inline bool IsXmlWhitespace(char c) {
 bool IsAllXmlWhitespace(std::string_view s);
 
 /// True iff `c` may start an XML name (ASCII subset: letter, '_' or ':').
-bool IsNameStartChar(char c);
+/// The single definition: xml/byte_classes.h builds the tokenizer's and
+/// the skip scanner's table from it.
+constexpr bool IsNameStartChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == ':';
+}
 
 /// True iff `c` may continue an XML name (adds digits, '-', '.').
-bool IsNameChar(char c);
+constexpr bool IsNameChar(char c) {
+  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
+}
 
 /// True iff `s` is a non-empty XML name over the ASCII subset.
 bool IsValidXmlName(std::string_view s);

@@ -1,11 +1,11 @@
 #include "xml/push_parser.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "xml/byte_classes.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -23,36 +23,6 @@ constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
 // it terminates; an entity name longer than this is never one we decode.
 constexpr size_t kMaxNumericRef = 16;   // "&#x" + digits
 constexpr size_t kMaxEntityName = 256;  // "&" + name
-
-// Byte classes for the tokenizer's scans: the ASCII name subset of
-// IsNameStartChar / IsNameChar (common/string_util.h) and XML whitespace,
-// one table load per byte instead of a chain of compares.
-enum : uint8_t { kNameStart = 1, kName = 2, kSpace = 4 };
-
-constexpr std::array<uint8_t, 256> MakeByteClasses() {
-  std::array<uint8_t, 256> classes{};
-  for (int c = 0; c < 256; ++c) {
-    const bool start = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       c == '_' || c == ':';
-    const bool name = start || (c >= '0' && c <= '9') || c == '-' || c == '.';
-    const bool space = c == ' ' || c == '\t' || c == '\r' || c == '\n';
-    classes[c] = static_cast<uint8_t>((start ? kNameStart : 0) |
-                                      (name ? kName : 0) |
-                                      (space ? kSpace : 0));
-  }
-  return classes;
-}
-constexpr std::array<uint8_t, 256> kByteClasses = MakeByteClasses();
-
-inline bool IsNameStart(char c) {
-  return (kByteClasses[static_cast<uint8_t>(c)] & kNameStart) != 0;
-}
-inline bool IsName(char c) {
-  return (kByteClasses[static_cast<uint8_t>(c)] & kName) != 0;
-}
-inline bool IsSpace(char c) {
-  return (kByteClasses[static_cast<uint8_t>(c)] & kSpace) != 0;
-}
 
 // The first '<' or '&' in [p, p+n), or nullptr: the text scan, one pass
 // with the SSE2 / NEON / scalar dispatch of FindByteSimd.

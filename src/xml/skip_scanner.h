@@ -8,8 +8,24 @@
 // being fooled by markup that hides '<' and '>' (comments, CDATA, PIs,
 // quoted attribute values). SkipScanner does exactly that — no symbol
 // interning, no DFA steps, no attribute or text processing, no entity
-// decoding. Content bytes are located with a SIMD '<' scan
-// (SSE2 / NEON / scalar, the dispatch pattern from IsAllXmlWhitespace).
+// decoding.
+//
+// Hot path: a 64-byte block classifier. While the scanner is between
+// markup and at least 64 bytes of the chunk remain, one window is
+// classified into three bitmasks — '<', '>', and "special" ('/', '"',
+// '\'') — by ClassifyBlock (SSE2 / NEON, with ClassifyBlockScalar as the
+// portable build and the tests' reference). The '<' bits are walked in
+// order, and each tag whose '>' lies in the window is settled by mask
+// arithmetic alone:
+//   </n…>    the byte after '/' starts a name: depth - 1 (0 ⇒ done);
+//   <n…>     no '<' and no special byte before its '>': depth + 1;
+//   <n…/>    the only special byte is the '/' just before '>': no change.
+// Everything else — a quote inside a tag, "<!", "<?", a malformed tag, a
+// tag that does not fit in a window starting at its '<', fewer than 64
+// bytes left — is handed, with the scanner just past its '<', to the
+// byte-at-a-time state machine below, which owns chunk boundaries, rare
+// constructs and every error. So both paths apply the same checks, and
+// a result never depends on how the input is chunked.
 //
 // The scanner is resumable: Scan() consumes as much of the given chunk as
 // it can and returns kNeedMore when the subtree extends past it, carrying
@@ -41,6 +57,22 @@ namespace xmlreval::xml {
 /// Exposed for the parser's text scan and for tests.
 const char* FindByteSimd(const char* p, size_t n, char byte);
 
+/// One 64-byte window as bitmasks: bit i is set when p[i] is '<' (lt),
+/// '>' (gt), or one of '/', '"', '\'' (special).
+struct TagMasks {
+  uint64_t lt = 0;
+  uint64_t gt = 0;
+  uint64_t special = 0;
+};
+
+/// Classifies the 64 bytes at `p` (all must be readable) with the SSE2 /
+/// NEON / scalar dispatch. Exposed for tests.
+TagMasks ClassifyBlock(const char* p);
+
+/// The portable byte-at-a-time classifier; the reference for
+/// ClassifyBlock. Exposed for tests.
+TagMasks ClassifyBlockScalar(const char* p);
+
 class SkipScanner {
  public:
   enum class Result : uint8_t {
@@ -66,7 +98,7 @@ class SkipScanner {
 
  private:
   enum class State : uint8_t {
-    kContent,             // between markup: SIMD-scan for '<'
+    kContent,             // between markup: block path, then SIMD '<' scan
     kLt,                  // just saw '<'
     kBang,                // "<!"
     kBangDash,            // "<!-"
@@ -87,6 +119,13 @@ class SkipScanner {
   };
 
   Result Fail(std::string message);
+
+  /// The block path of kContent: settles whole tags in 64-byte windows
+  /// and returns where the byte-at-a-time loop resumes — in kContent with
+  /// fewer than 64 bytes left, in kLt just past a '<' it leaves to the
+  /// state machine, or (with *done set) just past the '>' that closed the
+  /// subtree.
+  const char* ScanBlocks(const char* p, const char* end, bool* done);
 
   State state_ = State::kContent;
   uint64_t depth_ = 0;

@@ -280,6 +280,20 @@ TEST(PushParserTest, SkipScannerStillChecksStructure) {
   EXPECT_FALSE(out.status.ok());
 }
 
+TEST(PushParserTest, SkipErrorOffsetIsChunkingIndependent) {
+  // '<' in an attribute value inside a skipped subtree: the reported byte
+  // is just past that '<' (byte 17, so the message says 18) however the
+  // input is cut.
+  const std::string doc = "<r><skip><b x=\"ab<cdefgh\">t</b></skip></r>";
+  for (size_t chunk : {size_t{1}, size_t{3}, size_t{7}, doc.size()}) {
+    SkipOutcome out = RunSkip(doc, chunk);
+    ASSERT_FALSE(out.status.ok()) << "chunk=" << chunk;
+    EXPECT_EQ(out.status.message(),
+              "XML parse error at byte 18: '<' not allowed in attribute value")
+        << "chunk=" << chunk;
+  }
+}
+
 TEST(PushParserTest, TruncatedMidSkipFails) {
   std::string doc = "<r><skip><a><![CDATA[big";
   SkipOutcome out = RunSkip(doc, 5);

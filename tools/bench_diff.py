@@ -17,9 +17,9 @@ reported as such and never compared — a quarantined file must not gate
 anything, and silently treating it as "no baseline" would hide why.
 
 Gated metrics default to the binding bench's hot-path costs: the cast
-walk's ns/node and the tokenizer's ns/byte. Everything else that looks
-like a latency (*_ns, *_ns_per_node, *_ns_per_byte, *_us) is reported
-informationally.
+walk's ns/node, the tokenizer's ns/byte and the skip scanner's ns/byte.
+Everything else that looks like a latency (*_ns, *_ns_per_node,
+*_ns_per_byte, *_us) is reported informationally.
 
 Usage:
   tools/bench_diff.py --fresh-dir build/bench [--baseline-dir .]
@@ -33,7 +33,7 @@ import os
 import sys
 
 DEFAULT_FAIL_KEYS = ("bound_ns_per_node", "unbound_ns_per_node",
-                     "tokenize_ns_per_byte")
+                     "tokenize_ns_per_byte", "skip_ns_per_byte")
 
 
 def is_latency_key(key: str) -> bool:
