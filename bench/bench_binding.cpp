@@ -17,8 +17,12 @@
 // over the <items> body of a serialized 10,000-item purchase order, fed in
 // 64 KiB chunks, as a streaming cast hands it a subsumed subtree.
 //
+// BM_Bind times Document::Bind of a parsed 1000-item order to the
+// experiment-2 alphabet: one lookup per distinct label, then a gather of
+// symbols into the rows.
+//
 // Everything lands in BENCH_binding.json for CI consumption;
-// tokenize_ns_per_byte and skip_ns_per_byte are gated.
+// tokenize_ns_per_byte, skip_ns_per_byte and bind_ns_per_node are gated.
 
 #include <algorithm>
 #include <chrono>
@@ -38,20 +42,21 @@ namespace {
 
 using namespace xmlreval;
 
-// Median ns per input byte of `parse` over `reps` timed runs, after
-// warm-up; `parse` returns false on a failure, which aborts.
-template <typename Parse>
-double MedianNsPerByte(size_t bytes, int reps, Parse&& parse) {
+// Median ns per unit (input byte, node) of `run` over `reps` timed runs
+// of `units` units each, after warm-up; `run` returns false on a failure,
+// which aborts.
+template <typename Run>
+double MedianNsPer(size_t units, int reps, Run&& run) {
   using Clock = std::chrono::steady_clock;
   constexpr int kWarmup = 5;
   std::vector<double> samples;
   samples.reserve(reps);
   for (int rep = 0; rep < kWarmup + reps; ++rep) {
     auto start = Clock::now();
-    const bool ok = parse();
+    const bool ok = run();
     auto stop = Clock::now();
     if (!ok) {
-      std::fprintf(stderr, "bench_binding: parse failed\n");
+      std::fprintf(stderr, "bench_binding: run failed\n");
       std::abort();
     }
     if (rep >= kWarmup) {
@@ -59,7 +64,7 @@ double MedianNsPerByte(size_t bytes, int reps, Parse&& parse) {
           double(std::chrono::duration_cast<std::chrono::nanoseconds>(
                      stop - start)
                      .count()) /
-          double(bytes));
+          double(units));
     }
   }
   std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
@@ -86,15 +91,15 @@ ParseCosts BM_ParseXml(size_t items) {
   ParseCosts costs;
   costs.items = items;
   costs.bytes = text.size();
-  costs.tokenize_ns_per_byte = MedianNsPerByte(text.size(), kReps, [&] {
+  costs.tokenize_ns_per_byte = MedianNsPer(text.size(), kReps, [&] {
     xml::SaxHandler null_handler;
     xml::PushParser parser(&null_handler);
     return parser.Feed(text).ok() && parser.Finish().ok();
   });
-  costs.parse_ns_per_byte = MedianNsPerByte(text.size(), kReps, [&] {
+  costs.parse_ns_per_byte = MedianNsPer(text.size(), kReps, [&] {
     return xml::ParseXml(text).ok();
   });
-  costs.push_dom_ns_per_byte = MedianNsPerByte(text.size(), kReps, [&] {
+  costs.push_dom_ns_per_byte = MedianNsPer(text.size(), kReps, [&] {
     xml::DomBuilder builder;
     xml::PushParser parser(&builder);
     for (size_t pos = 0; pos < text.size(); pos += kChunkBytes) {
@@ -126,7 +131,7 @@ double BM_SkipScan() {
   const std::string_view body = std::string_view(text).substr(
       open + 7, close + 8 - (open + 7));
   xml::SkipScanner scanner;
-  const double ns = MedianNsPerByte(body.size(), kReps, [&] {
+  const double ns = MedianNsPer(body.size(), kReps, [&] {
     scanner.Begin();
     for (size_t pos = 0; pos < body.size(); pos += kChunkBytes) {
       size_t consumed = 0;
@@ -144,6 +149,28 @@ double BM_SkipScan() {
   std::printf("\nBM_SkipScan: <items> body of a 10000-item order (%zu bytes), "
               "64 KiB chunks\n%-24s %10.3f ns/byte\n",
               body.size(), "skip scan", ns);
+  return ns;
+}
+
+// Median ns per node of Document::Bind of a parsed `items`-item order to
+// `alphabet`, over every row the document holds.
+double BM_Bind(const std::shared_ptr<automata::Alphabet>& alphabet,
+               size_t items) {
+  constexpr int kReps = 41;
+  workload::PoGeneratorOptions options;
+  options.item_count = items;
+  auto doc = xml::ParseXml(
+      xml::Serialize(workload::GeneratePurchaseOrder(options)));
+  if (!doc.ok()) {
+    std::fprintf(stderr, "BM_Bind: %s\n", doc.status().ToString().c_str());
+    std::abort();
+  }
+  const double ns = MedianNsPer(doc->NodeCount(), kReps, [&] {
+    return doc->Bind(alphabet).ok();
+  });
+  std::printf("\nBM_Bind: parsed %zu-item order (%zu nodes)\n"
+              "%-24s %10.3f ns/node\n",
+              items, doc->NodeCount(), "Document::Bind", ns);
   return ns;
 }
 
@@ -225,6 +252,7 @@ int main(int argc, char** argv) {
   }
 
   const double skip_ns_per_byte = BM_SkipScan();
+  const double bind_ns_per_node = BM_Bind(pair.alphabet, kItems);
 
   bench::WriteBenchJson(
       "BENCH_binding.json", "bench_binding",
@@ -240,7 +268,8 @@ int main(int argc, char** argv) {
        {"parse_ns_per_byte_1000", large.parse_ns_per_byte},
        {"push_dom_ns_per_byte_100", small.push_dom_ns_per_byte},
        {"push_dom_ns_per_byte_1000", large.push_dom_ns_per_byte},
-       {"skip_ns_per_byte", skip_ns_per_byte}});
+       {"skip_ns_per_byte", skip_ns_per_byte},
+       {"bind_ns_per_node", bind_ns_per_node}});
   std::printf("\nwrote BENCH_binding.json\n");
   return bound_nodes == nodes ? 0 : 1;
 }

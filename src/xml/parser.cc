@@ -37,13 +37,6 @@ Status ParseResident(std::string_view input, SaxHandler* handler,
 
 }  // namespace
 
-DomBuilder::DomBuilder(std::shared_ptr<automata::Alphabet> intern_alphabet) {
-  if (intern_alphabet != nullptr) {
-    // Empty document: binding is O(1) and makes CreateElement intern.
-    (void)doc_.BindInterning(std::move(intern_alphabet));
-  }
-}
-
 Status DomBuilder::Doctype(std::string_view name, std::string_view subset) {
   doctype_name_.assign(name);
   internal_subset_.assign(subset);
@@ -91,14 +84,14 @@ Status ParseXmlEvents(std::string_view input, SaxHandler* handler,
 }
 
 Result<Document> ParseXml(std::string_view input, const ParseOptions& options) {
-  DomBuilder builder(options.intern_alphabet);
+  DomBuilder builder;
   RETURN_IF_ERROR(ParseResident(input, &builder, options));
   return std::move(builder.Take().document);
 }
 
 Result<ParsedWithDoctype> ParseXmlWithDoctype(std::string_view input,
                                               const ParseOptions& options) {
-  DomBuilder builder(options.intern_alphabet);
+  DomBuilder builder;
   RETURN_IF_ERROR(ParseResident(input, &builder, options));
   return builder.Take();
 }

@@ -20,12 +20,10 @@
 #ifndef XMLREVAL_XML_PARSER_H_
 #define XMLREVAL_XML_PARSER_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "automata/alphabet.h"
 #include "common/result.h"
 #include "xml/sax.h"
 #include "xml/tree.h"
@@ -53,11 +51,6 @@ Result<ParsedWithDoctype> ParseXmlWithDoctype(std::string_view input,
 /// document arriving in chunks can be fed through a PushParser into a DOM.
 class DomBuilder final : public SaxHandler {
  public:
-  /// With an alphabet, the document is bound to it and labels are interned
-  /// as elements are created (see ParseOptions::intern_alphabet).
-  explicit DomBuilder(
-      std::shared_ptr<automata::Alphabet> intern_alphabet = nullptr);
-
   Status Doctype(std::string_view name, std::string_view subset) override;
   Status StartElement(std::string_view name,
                       const std::vector<SaxAttribute>& attributes) override;

@@ -24,38 +24,63 @@ constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
 constexpr size_t kMaxNumericRef = 16;   // "&#x" + digits
 constexpr size_t kMaxEntityName = 256;  // "&" + name
 
-// The first '<' or '&' in [p, p+n), or nullptr: the text scan, one pass
-// with the SSE2 / NEON / scalar dispatch of FindByteSimd.
-const char* FindMarkupOrReference(const char* p, size_t n) {
+// The body of ClassifyTextBlock, in this file so ScanText inlines it.
+inline TextMasks ClassifyText(const char* p) {
 #if defined(__SSE2__)
-  const __m128i lt = _mm_set1_epi8('<');
-  const __m128i amp = _mm_set1_epi8('&');
-  while (n >= 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    int mask = _mm_movemask_epi8(
-        _mm_or_si128(_mm_cmpeq_epi8(v, lt), _mm_cmpeq_epi8(v, amp)));
-    if (mask != 0) return p + __builtin_ctz(static_cast<unsigned>(mask));
-    p += 16;
-    n -= 16;
-  }
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  auto eq = [&](char c) { return _mm_cmpeq_epi8(v, _mm_set1_epi8(c)); };
+  const __m128i stop = _mm_or_si128(eq('<'), eq('&'));
+  const __m128i space = _mm_or_si128(_mm_or_si128(eq(' '), eq('\n')),
+                                     _mm_or_si128(eq('\t'), eq('\r')));
+  TextMasks m;
+  m.stop = static_cast<uint32_t>(_mm_movemask_epi8(stop));
+  m.solid = ~static_cast<uint32_t>(_mm_movemask_epi8(space)) & 0xFFFFu;
+  return m;
 #elif defined(__aarch64__)
-  const uint8x16_t lt = vdupq_n_u8('<');
-  const uint8x16_t amp = vdupq_n_u8('&');
-  while (n >= 16) {
-    uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(p));
-    uint8x16_t eq = vorrq_u8(vceqq_u8(v, lt), vceqq_u8(v, amp));
-    if (vmaxvq_u8(eq) != 0) {
-      uint64_t nib = vget_lane_u64(
-          vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)), 0);
-      return p + (__builtin_ctzll(nib) >> 2);
-    }
-    p += 16;
-    n -= 16;
-  }
+  const uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(p));
+  auto eq = [&](uint8_t c) { return vceqq_u8(v, vdupq_n_u8(c)); };
+  // 16 compare lanes (0x00 / 0xFF) to one bit per lane.
+  auto bits = [](uint8x16_t r) {
+    const uint8x16_t weights = {1, 2, 4, 8, 16, 32, 64, 128,
+                                1, 2, 4, 8, 16, 32, 64, 128};
+    const uint8x16_t w = vandq_u8(r, weights);
+    return static_cast<uint32_t>(vaddv_u8(vget_low_u8(w))) |
+           static_cast<uint32_t>(vaddv_u8(vget_high_u8(w))) << 8;
+  };
+  const uint8x16_t stop = vorrq_u8(eq('<'), eq('&'));
+  const uint8x16_t space =
+      vorrq_u8(vorrq_u8(eq(' '), eq('\n')), vorrq_u8(eq('\t'), eq('\r')));
+  TextMasks m;
+  m.stop = bits(stop);
+  m.solid = ~bits(space) & 0xFFFFu;
+  return m;
+#else
+  return ClassifyTextBlockScalar(p);
 #endif
-  for (size_t i = 0; i < n; ++i) {
-    if (p[i] == '<' || p[i] == '&') return p + i;
+}
+
+// The first '<' or '&' in [p, p+n), or nullptr when there is none: the
+// text scan. *blank tells whether every byte before that stop (all n
+// bytes when there is none) is XML whitespace.
+const char* ScanText(const char* p, size_t n, bool* blank) {
+  uint32_t solid = 0;
+  for (; n >= 16; p += 16, n -= 16) {
+    const TextMasks m = ClassifyText(p);
+    if (m.stop != 0) {
+      const unsigned i = static_cast<unsigned>(__builtin_ctz(m.stop));
+      *blank = (solid | (m.solid & ((1u << i) - 1))) == 0;
+      return p + i;
+    }
+    solid |= m.solid;
   }
+  for (size_t i = 0; i < n; ++i) {
+    if (p[i] == '<' || p[i] == '&') {
+      *blank = solid == 0;
+      return p + i;
+    }
+    if (!IsSpace(p[i])) solid = 1;
+  }
+  *blank = solid == 0;
   return nullptr;
 }
 
@@ -126,6 +151,17 @@ const char* ReferenceByteError(std::string_view ref, char c) {
 }
 
 }  // namespace
+
+TextMasks ClassifyTextBlockScalar(const char* p) {
+  TextMasks m;
+  for (int i = 0; i < 16; ++i) {
+    if (p[i] == '<' || p[i] == '&') m.stop |= 1u << i;
+    if (!IsSpace(p[i])) m.solid |= 1u << i;
+  }
+  return m;
+}
+
+TextMasks ClassifyTextBlock(const char* p) { return ClassifyText(p); }
 
 PushParser::PushParser(SaxHandler* handler, const ParseOptions& options)
     : handler_(handler),
@@ -268,16 +304,25 @@ Status PushParser::RunSkip() {
 // every tag and reference that follows it. In kContent/kText the open-tag
 // stack is never empty: the root's start tag switches the mode, and
 // popping the root switches to kEpilog.
+//
+// A whitespace-only run with no text before it that ends at a start or
+// end tag is dropped here: that tag would emit the run as one text node,
+// and skip_whitespace_text would drop it there. Whitespace before a
+// comment, PI, CDATA section or reference may coalesce with the text
+// after it, so it is added as usual.
 Status PushParser::RunContentText() {
   while (p_ < end_ && mode_ == Mode::kContent && sub_ == Sub::kText) {
-    const char* stop =
-        FindMarkupOrReference(p_, static_cast<size_t>(end_ - p_));
+    bool blank = false;
+    const char* stop = ScanText(p_, static_cast<size_t>(end_ - p_), &blank);
     if (stop == nullptr) {
       AddText(p_, static_cast<size_t>(end_ - p_));
       p_ = end_;
       return Status::OK();
     }
-    AddText(p_, static_cast<size_t>(stop - p_));
+    const bool drop = blank && skip_whitespace_text_ && *stop == '<' &&
+                      stop + 1 < end_ && stop[1] != '!' && stop[1] != '?' &&
+                      text_view_size_ == 0 && text_buf_.empty();
+    if (!drop) AddText(p_, static_cast<size_t>(stop - p_));
     p_ = stop;
     RETURN_IF_ERROR(*stop == '<' ? MarkupAt(stop) : ReferenceAt(stop));
   }

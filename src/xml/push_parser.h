@@ -56,6 +56,22 @@
 
 namespace xmlreval::xml {
 
+/// One 16-byte block of character data as bitmasks: bit i of `stop` is
+/// set when p[i] is '<' or '&' (where a text run ends), bit i of `solid`
+/// when p[i] is not XML whitespace.
+struct TextMasks {
+  uint32_t stop = 0;
+  uint32_t solid = 0;
+};
+
+/// Classifies the 16 bytes at `p` (all must be readable) with the SSE2 /
+/// NEON / scalar dispatch of the tokenizer's text scan. Exposed for tests.
+TextMasks ClassifyTextBlock(const char* p);
+
+/// The portable byte-at-a-time classifier; the reference for
+/// ClassifyTextBlock. Exposed for tests.
+TextMasks ClassifyTextBlockScalar(const char* p);
+
 class PushParser {
  public:
   /// error_offset() when the latched status did not come from the grammar

@@ -17,11 +17,9 @@
 #ifndef XMLREVAL_XML_SAX_H_
 #define XMLREVAL_XML_SAX_H_
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "automata/alphabet.h"
 #include "common/status.h"
 
 namespace xmlreval::xml {
@@ -31,11 +29,6 @@ struct ParseOptions {
   /// documents (everything in the paper's evaluation) use indentation
   /// whitespace that has no place in the content model, so this defaults on.
   bool skip_whitespace_text = true;
-  /// When set, the produced Document is bound to this alphabet and element
-  /// labels are interned as they are parsed (Document::BindInterning), so
-  /// validators run string-free from the first visit. The caller must be the
-  /// alphabet's sole writer during the parse (see automata/alphabet.h).
-  std::shared_ptr<automata::Alphabet> intern_alphabet;
 };
 
 /// Attribute view valid only during the StartElement callback (it may point

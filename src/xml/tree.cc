@@ -49,13 +49,16 @@ void NodeColumns::Grow(size_t min_capacity) {
       cap * kColdBytesPerRow);
   std::string_view* payload = reinterpret_cast<std::string_view*>(cold.get());
   uint32_t* attr_slot = reinterpret_cast<uint32_t*>(payload + cap);
+  uint32_t* label = attr_slot + cap;
   if (size_ != 0) {
     std::memcpy(payload, payload_, size_ * sizeof(std::string_view));
     std::memcpy(attr_slot, attr_slot_, size_ * sizeof(uint32_t));
+    std::memcpy(label, label_, size_ * sizeof(uint32_t));
   }
   cold_block_ = std::move(cold);
   payload_ = payload;
   attr_slot_ = attr_slot;
+  label_ = label;
   capacity_ = cap;
 }
 
@@ -73,6 +76,7 @@ void NodeColumns::MoveFrom(NodeColumns& o) {
   flags_ = o.flags_;
   payload_ = o.payload_;
   attr_slot_ = o.attr_slot_;
+  label_ = o.label_;
   o.size_ = o.capacity_ = 0;
   o.parent_ = o.first_child_ = o.last_child_ = nullptr;
   o.next_sibling_ = o.prev_sibling_ = nullptr;
@@ -80,6 +84,7 @@ void NodeColumns::MoveFrom(NodeColumns& o) {
   o.flags_ = nullptr;
   o.payload_ = nullptr;
   o.attr_slot_ = nullptr;
+  o.label_ = nullptr;
 }
 
 std::string_view StringArena::Add(std::string_view s) {
@@ -98,25 +103,117 @@ std::string_view StringArena::Add(std::string_view s) {
   return std::string_view(dst, s.size());
 }
 
+namespace {
+
+// A 32-bit hash of every byte of `s`, eight at a time. Each step is a
+// bijection of the state for a fixed word, so names of one length that
+// differ anywhere (not just at the ends) reach different 64-bit states.
+uint32_t HashLabel(std::string_view s) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t h = kMul ^ s.size();
+  const char* p = s.data();
+  size_t n = s.size();
+  auto mix = [&](uint64_t w) {
+    h = (h ^ w) * kMul;
+    h ^= h >> 29;
+  };
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    mix(w);
+  }
+  if (n != 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    mix(w);
+  }
+  h *= 0xBF58476D1CE4E5B9ull;
+  return static_cast<uint32_t>(h >> 32);
+}
+
+}  // namespace
+
+uint32_t LabelTable::Intern(std::string_view name, StringArena* arena) {
+  if (slots_.empty()) {
+    entries_.reserve(16);
+    slots_.assign(32, kNone);
+  }
+  const uint32_t hash = HashLabel(name);
+  const size_t mask = slots_.size() - 1;
+  size_t slot = hash & mask;
+  for (uint32_t id; (id = slots_[slot]) != kNone; slot = (slot + 1) & mask) {
+    if (entries_[id].hash == hash && Is(id, name)) return id;
+  }
+  const uint32_t id = static_cast<uint32_t>(entries_.size());
+  entries_.push_back(Entry{arena->Add(name), hash, kNone, kNone, kUnresolved});
+  slots_[slot] = id;
+  if (entries_.size() * 2 > slots_.size()) Rehash(slots_.size() * 2);
+  return id;
+}
+
+void LabelTable::Rehash(size_t slot_count) {
+  slots_.assign(slot_count, kNone);
+  const size_t mask = slot_count - 1;
+  for (uint32_t id = 0; id < entries_.size(); ++id) {
+    size_t slot = entries_[id].hash & mask;
+    while (slots_[slot] != kNone) slot = (slot + 1) & mask;
+    slots_[slot] = id;
+  }
+}
+
 }  // namespace internal
 
+NodeId Document::NewElementRow(uint32_t label) {
+  return cols_.PushRow(internal::kFlagAlive, SymbolForLabel(label),
+                       labels_.name(label), label);
+}
+
 NodeId Document::CreateElement(std::string_view label) {
-  return cols_.PushRow(internal::kFlagAlive, ResolveSymbol(label),
-                       strings_.Add(label));
+  return NewElementRow(labels_.Intern(label, &strings_));
 }
 
 NodeId Document::CreateText(std::string_view text) {
   return cols_.PushRow(internal::kFlagAlive | internal::kFlagText,
-                       automata::kUnboundSymbol, strings_.Add(text));
+                       automata::kUnboundSymbol, strings_.Add(text),
+                       internal::LabelTable::kNone);
 }
 
 NodeId Document::AppendNewElement(NodeId parent, std::string_view label) {
   XMLREVAL_CHECK(parent == kInvalidNode ? root_ == kInvalidNode
                                         : IsAlive(parent) && IsElement(parent),
                  "AppendNewElement needs a live element parent or no root");
-  const NodeId id = CreateElement(label);
-  LinkLast(parent, id);
-  return id;
+  // Predict the label before hashing it: the label that followed the
+  // previous element sibling's label last time, or, for a first child,
+  // the label that last came first under the parent's label. Documents
+  // repeat their structure, so one length check and memcmp usually
+  // settle it.
+  using internal::LabelTable;
+  uint32_t owner = LabelTable::kNone;  // the label whose hint is used
+  bool first = false;
+  if (parent != kInvalidNode) {
+    const NodeId tail = cols_.last_child()[parent];
+    if (tail == kInvalidNode) {
+      owner = cols_.label()[parent];
+      first = true;
+    } else if (IsElement(tail)) {
+      owner = cols_.label()[tail];
+    }
+  }
+  uint32_t id = LabelTable::kNone;
+  if (owner != LabelTable::kNone) {
+    id = first ? labels_.first_child_hint(owner)
+               : labels_.next_sibling_hint(owner);
+  }
+  if (id == LabelTable::kNone || !labels_.Is(id, label)) {
+    id = labels_.Intern(label, &strings_);
+    if (owner != LabelTable::kNone) {
+      (first ? labels_.first_child_hint(owner)
+             : labels_.next_sibling_hint(owner)) = id;
+    }
+  }
+  const NodeId node = NewElementRow(id);
+  LinkLast(parent, node);
+  return node;
 }
 
 NodeId Document::AppendNewText(NodeId parent, std::string_view text) {
@@ -277,46 +374,51 @@ Status Document::Rename(NodeId node, std::string_view new_label) {
     return Status::InvalidArgument("invalid XML name: '" +
                                    std::string(new_label) + "'");
   }
-  ReplacePayload(node, new_label);
-  cols_.symbol()[node] = ResolveSymbol(new_label);
+  // The row is repointed at the new label's table entry; the old label's
+  // bytes stay as they are, so views of them remain valid.
+  const uint32_t label = labels_.Intern(new_label, &strings_);
+  cols_.label()[node] = label;
+  cols_.payload()[node] = labels_.name(label);
+  cols_.symbol()[node] = SymbolForLabel(label);
   return Status::OK();
 }
 
-void Document::ReplacePayload(NodeId id, std::string_view bytes) {
-  std::string_view& payload = cols_.payload()[id];
-  const std::string_view current = payload;
-  if (bytes.size() <= current.size() && !current.empty()) {
-    // Shrinking (or equal-size) edits reuse the node's existing arena
-    // range; the bytes are exclusively this node's, so the overwrite is
-    // invisible to every other payload.
-    char* dst = const_cast<char*>(current.data());
-    std::memcpy(dst, bytes.data(), bytes.size());
-    payload = std::string_view(dst, bytes.size());
-    return;
-  }
-  payload = strings_.Add(bytes);
+automata::Symbol Document::LookUp(std::string_view name) {
+  if (intern_alphabet_ != nullptr) return intern_alphabet_->Intern(name);
+  auto sym = bound_alphabet_->Find(name);
+  return sym ? *sym : automata::kUnboundSymbol;
 }
 
-automata::Symbol Document::ResolveSymbol(std::string_view label) {
-  if (intern_alphabet_ != nullptr) return intern_alphabet_->Intern(label);
-  if (bound_alphabet_ != nullptr) {
-    auto sym = bound_alphabet_->Find(label);
-    return sym ? *sym : automata::kUnboundSymbol;
+automata::Symbol Document::SymbolForLabel(uint32_t label) {
+  if (bound_alphabet_ == nullptr) return automata::kUnboundSymbol;
+  automata::Symbol& cached = labels_.symbol(label);
+  if (cached == internal::LabelTable::kUnresolved ||
+      cached == automata::kUnboundSymbol) {
+    cached = LookUp(labels_.name(label));
   }
-  return automata::kUnboundSymbol;
+  return cached;
+}
+
+void Document::BindRows() {
+  labels_.ClearSymbols();
+  const uint8_t* flags = cols_.flags();
+  const uint32_t* labels = cols_.label();
+  automata::Symbol* symbols = cols_.symbol();
+  for (size_t id = 0; id < cols_.size(); ++id) {
+    if (flags[id] != internal::kFlagAlive) continue;  // element + alive
+    automata::Symbol& cached = labels_.symbol(labels[id]);
+    if (cached == internal::LabelTable::kUnresolved) {
+      cached = LookUp(labels_.name(labels[id]));
+    }
+    symbols[id] = cached;
+  }
 }
 
 Status Document::Bind(std::shared_ptr<const automata::Alphabet> alphabet) {
   if (alphabet == nullptr) return Status::InvalidArgument("null alphabet");
   intern_alphabet_ = nullptr;
   bound_alphabet_ = std::move(alphabet);
-  const uint8_t* flags = cols_.flags();
-  automata::Symbol* symbols = cols_.symbol();
-  for (size_t id = 0; id < cols_.size(); ++id) {
-    if (flags[id] != internal::kFlagAlive) continue;  // element + alive
-    auto sym = bound_alphabet_->Find(cols_.payload()[id]);
-    symbols[id] = sym ? *sym : automata::kUnboundSymbol;
-  }
+  BindRows();
   return Status::OK();
 }
 
@@ -324,12 +426,7 @@ Status Document::BindInterning(std::shared_ptr<automata::Alphabet> alphabet) {
   if (alphabet == nullptr) return Status::InvalidArgument("null alphabet");
   intern_alphabet_ = std::move(alphabet);
   bound_alphabet_ = intern_alphabet_;
-  const uint8_t* flags = cols_.flags();
-  automata::Symbol* symbols = cols_.symbol();
-  for (size_t id = 0; id < cols_.size(); ++id) {
-    if (flags[id] != internal::kFlagAlive) continue;
-    symbols[id] = intern_alphabet_->Intern(cols_.payload()[id]);
-  }
+  BindRows();
   return Status::OK();
 }
 
@@ -347,7 +444,17 @@ Status Document::SetText(NodeId node, std::string_view text) {
   if (!IsText(node)) {
     return Status::InvalidArgument("SetText requires a text node");
   }
-  ReplacePayload(node, text);
+  std::string_view& payload = cols_.payload()[node];
+  if (text.size() <= payload.size() && !payload.empty()) {
+    // Shrinking (or equal-size) edits reuse the node's existing arena
+    // range; text bytes are exclusively this node's, so the overwrite is
+    // invisible to every other payload.
+    char* dst = const_cast<char*>(payload.data());
+    std::memcpy(dst, text.data(), text.size());
+    payload = std::string_view(dst, text.size());
+  } else {
+    payload = strings_.Add(text);
+  }
   return Status::OK();
 }
 
@@ -455,6 +562,7 @@ Document::MemoryStats Document::MemoryUsage() const {
   MemoryStats stats;
   stats.topology_bytes = cols_.arena_bytes();
   stats.payload_ref_bytes = cols_.cold_bytes();
+  stats.label_table_bytes = labels_.bytes();
   stats.string_arena_bytes = strings_.allocated_bytes();
   stats.attribute_bytes = attr_slots_.capacity() * sizeof(attr_slots_[0]);
   for (const auto& slot : attr_slots_) {

@@ -8,17 +8,24 @@
 // walk streams over contiguous int32 arrays instead of striding through
 // ~120-byte heterogeneous records. COLD per-node data is split out of the
 // traversal path entirely: label/text payloads are byte ranges in a
-// chunked string arena (stable — chunks never move or shrink), and
+// chunked string arena (stable — chunks never move or shrink), each
+// element row names its label by a dense per-document label id, and
 // attributes live in a side table reached through a per-node slot index.
+//
+// Element labels are interned once per document in a LabelTable: each
+// distinct label is stored once and every element's payload view points
+// at that copy. Binding to an alphabet Σ therefore resolves each distinct
+// label once and fills the symbol column with a gather over label ids.
 //
 // Nodes are linked first-child / last-child / next-sibling / prev-sibling
 // / parent, so all the traversals the validators need are O(1) per step
 // and structural edits are O(1) pointer splices. NodeIds remain stable
 // across edits (deleted nodes are tombstoned, never reused), which is what
-// lets the update log of Section 3.3 refer to nodes safely. Payload bytes
-// are likewise append-only: Rename/SetText write a new arena range (or
-// overwrite in place when the new payload fits), so string_views handed
-// out earlier never dangle.
+// lets the update log of Section 3.3 refer to nodes safely. Label bytes
+// are never overwritten: Rename repoints the row at another table entry,
+// so a label() view handed out earlier keeps reading the old label.
+// SetText writes a new arena range, or overwrites the node's own range in
+// place when the new text fits.
 //
 // Element nodes carry a label (tag) and attributes; text nodes carry
 // character data and correspond to the paper's chi-labeled leaves.
@@ -71,11 +78,11 @@ inline constexpr uint32_t kNoAttrSlot = 0xFFFFFFFFu;
 /// All per-node columns, grown together, so a new row costs one capacity
 /// check however many columns there are. Seven are hot, sliced from one
 /// malloc'd block (5 × NodeId links, 1 × Symbol, 1 × uint8 flags — 25
-/// bytes/node, vs the ~120-byte AoS node this replaced); two are cold
-/// and never read by a walk, sliced from a second block (the payload view
-/// and the attribute slot — 20 bytes/node). Growth copies column-by-column
-/// so each array stays dense and contiguous; rows past size() are
-/// uninitialized.
+/// bytes/node, vs the ~120-byte AoS node this replaced); three are cold
+/// and never read by a walk, sliced from a second block (the payload view,
+/// the attribute slot and the label id — 24 bytes/node). Growth copies
+/// column-by-column so each array stays dense and contiguous; rows past
+/// size() are uninitialized.
 class NodeColumns {
  public:
   NodeColumns() = default;
@@ -93,7 +100,7 @@ class NodeColumns {
   /// Appends one row with all links kInvalidNode and no attribute slot;
   /// returns its index.
   uint32_t PushRow(uint8_t flags, automata::Symbol symbol,
-                   std::string_view payload) {
+                   std::string_view payload, uint32_t label) {
     if (size_ == capacity_) Grow(size_ + 1);
     const uint32_t id = static_cast<uint32_t>(size_++);
     parent_[id] = kInvalidNode;
@@ -105,6 +112,7 @@ class NodeColumns {
     flags_[id] = flags;
     payload_[id] = payload;
     attr_slot_[id] = kNoAttrSlot;
+    label_[id] = label;
     return id;
   }
 
@@ -118,6 +126,7 @@ class NodeColumns {
   uint8_t* flags() { return flags_; }
   std::string_view* payload() { return payload_; }
   uint32_t* attr_slot() { return attr_slot_; }
+  uint32_t* label() { return label_; }
   const NodeId* parent() const { return parent_; }
   const NodeId* first_child() const { return first_child_; }
   const NodeId* last_child() const { return last_child_; }
@@ -127,23 +136,24 @@ class NodeColumns {
   const uint8_t* flags() const { return flags_; }
   const std::string_view* payload() const { return payload_; }
   const uint32_t* attr_slot() const { return attr_slot_; }
+  const uint32_t* label() const { return label_; }
 
   /// Bytes of the hot columns (the topology footprint MemoryUsage reports).
   size_t arena_bytes() const { return capacity_ * kHotBytesPerRow; }
-  /// Bytes of the cold columns (payload views and attribute slots).
+  /// Bytes of the cold columns (payload views, attribute slots, label ids).
   size_t cold_bytes() const { return capacity_ * kColdBytesPerRow; }
 
  private:
   static constexpr size_t kHotBytesPerRow =
       5 * sizeof(NodeId) + sizeof(automata::Symbol) + sizeof(uint8_t);
   static constexpr size_t kColdBytesPerRow =
-      sizeof(std::string_view) + sizeof(uint32_t);
+      sizeof(std::string_view) + 2 * sizeof(uint32_t);
 
   void Grow(size_t min_capacity);
   void MoveFrom(NodeColumns& o);
 
   std::unique_ptr<unsigned char[]> block_;       // hot columns
-  std::unique_ptr<unsigned char[]> cold_block_;  // payload, attr_slot
+  std::unique_ptr<unsigned char[]> cold_block_;  // payload, attr_slot, label
   size_t size_ = 0;
   size_t capacity_ = 0;
   NodeId* parent_ = nullptr;
@@ -155,6 +165,7 @@ class NodeColumns {
   uint8_t* flags_ = nullptr;
   std::string_view* payload_ = nullptr;  // label (element) / text (text)
   uint32_t* attr_slot_ = nullptr;        // kNoAttrSlot when attribute-free
+  uint32_t* label_ = nullptr;            // LabelTable id; kNone for text
 };
 
 /// Chunked append-only byte arena for label/text payloads. Chunks never
@@ -177,6 +188,69 @@ class StringArena {
   size_t last_capacity_ = 0;  // size of chunks_.back()
   size_t allocated_ = 0;
   size_t used_ = 0;
+};
+
+/// The distinct element labels of one Document, each stored once in the
+/// document's string arena under a dense id (0, 1, ... in order of first
+/// use). Lookup is open addressing keyed by a hash over every byte of the
+/// name, so names crafted to share a prefix or suffix do not share a
+/// probe chain. Per label the table also keeps two prediction hints for
+/// the DOM build and the label's symbol under the document's current
+/// binding.
+class LabelTable {
+ public:
+  /// No label: an empty hint, and the label id of a text row.
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+  /// Symbol-cache value of a label not yet resolved in the current binding.
+  static constexpr automata::Symbol kUnresolved = automata::kInvalidSymbol;
+
+  /// The id of `name`, copying it into `arena` when it is new. The first
+  /// call reserves the table's first block, so a handful of later new
+  /// labels (a rename, say) allocate nothing here.
+  uint32_t Intern(std::string_view name, StringArena* arena);
+
+  /// True iff label `id` is exactly `name`: the check of a predicted label.
+  bool Is(uint32_t id, std::string_view name) const {
+    return entries_[id].name == name;
+  }
+
+  /// The stored copy of label `id`; stable for the arena's lifetime.
+  std::string_view name(uint32_t id) const { return entries_[id].name; }
+
+  /// The label that last followed label `id` as the next element sibling,
+  /// and the label that last came first under an element labelled `id`
+  /// (kNone until seen). Guesses only: a caller confirms with Is().
+  uint32_t& next_sibling_hint(uint32_t id) { return entries_[id].next; }
+  uint32_t& first_child_hint(uint32_t id) { return entries_[id].first; }
+
+  /// Symbol of label `id` under the current binding, or kUnresolved.
+  automata::Symbol& symbol(uint32_t id) { return entries_[id].symbol; }
+
+  /// Marks every label unresolved (a new binding begins).
+  void ClearSymbols() {
+    for (Entry& e : entries_) e.symbol = kUnresolved;
+  }
+
+  /// Heap bytes of the entries and the probe slots (not the names, which
+  /// the string arena counts).
+  size_t bytes() const {
+    return entries_.capacity() * sizeof(Entry) +
+           slots_.capacity() * sizeof(uint32_t);
+  }
+
+ private:
+  struct Entry {
+    std::string_view name;
+    uint32_t hash;
+    uint32_t next;
+    uint32_t first;
+    automata::Symbol symbol;
+  };
+
+  void Rehash(size_t slot_count);
+
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;  // label id or kNone; size a power of two
 };
 
 }  // namespace internal
@@ -252,9 +326,17 @@ class Document {
   //     a real symbol. Single-writer only (parser, benchmarks, offline
   //     tools); never call this on an alphabet other threads may be reading.
   //
+  // Both resolve each distinct label of the live elements once (one Find or
+  // Intern per label, in row order of first live use, so Σ grows in that
+  // order) and then copy the label's symbol into each row: O(distinct
+  // labels) lookups plus one gather over the rows. Labels carried only by
+  // dead or renamed-away nodes are never looked up.
+  //
   // After either call, CreateElement/Rename keep node symbols coherent:
-  // symbol(n) == alphabet.Find(label(n)) (or kUnboundSymbol on a miss).
-  // Binding to a different alphabet re-resolves every live element.
+  // symbol(n) == alphabet.Find(label(n)) (or kUnboundSymbol on a miss). A
+  // label met before in this binding costs no lookup; a miss is looked up
+  // again, as Σ may have grown since. Binding to a different alphabet
+  // re-resolves every live element.
 
   /// Binds to `alphabet` without mutating it; out-of-Σ labels map to
   /// kUnboundSymbol. Re-resolves all live element nodes.
@@ -306,9 +388,10 @@ class Document {
     return (cols_.flags()[id] & internal::kFlagText) != 0;
   }
 
-  /// Tag of an element node, or empty for text nodes. The view points into
-  /// the document's string arena: stable across edits and moves (arena
-  /// chunks never move or shrink).
+  /// Tag of an element node, or empty for text nodes. The view points at
+  /// the label table's copy in the document's string arena: stable across
+  /// edits (a rename repoints the row, it never rewrites label bytes) and
+  /// moves (arena chunks never move or shrink).
   std::string_view label(NodeId id) const {
     return IsElement(id) ? cols_.payload()[id] : std::string_view();
   }
@@ -421,12 +504,13 @@ class Document {
   /// O(attribute slots); meant for gauges and bench stamps, not hot paths.
   struct MemoryStats {
     size_t topology_bytes = 0;      // hot column arena (flags..siblings)
-    size_t payload_ref_bytes = 0;   // cold columns: payload views, slots
+    size_t payload_ref_bytes = 0;   // cold columns: payload, slot, label id
+    size_t label_table_bytes = 0;   // label entries and probe slots
     size_t string_arena_bytes = 0;  // label/text byte chunks (allocated)
     size_t attribute_bytes = 0;     // side table incl. string capacities
     size_t total() const {
-      return topology_bytes + payload_ref_bytes + string_arena_bytes +
-             attribute_bytes;
+      return topology_bytes + payload_ref_bytes + label_table_bytes +
+             string_arena_bytes + attribute_bytes;
     }
   };
   MemoryStats MemoryUsage() const;
@@ -443,19 +527,28 @@ class Document {
   /// when `parent` is kInvalidNode. Unchecked.
   void LinkLast(NodeId parent, NodeId child);
 
-  /// Resolves `label` through the current binding (intern or find).
-  automata::Symbol ResolveSymbol(std::string_view label);
+  /// Appends a detached element row for label id `label`.
+  NodeId NewElementRow(uint32_t label);
 
-  /// Rebinds node `id`'s payload to `bytes`, overwriting in place when the
-  /// new payload fits in the old range (no arena growth on shrinking
-  /// edits); otherwise appends a fresh range.
-  void ReplacePayload(NodeId id, std::string_view bytes);
+  /// Looks `name` up in the bound alphabet (Intern after BindInterning,
+  /// else Find; kUnboundSymbol on a miss). Requires a binding.
+  automata::Symbol LookUp(std::string_view name);
+
+  /// Symbol of label id `label` for a new or renamed element: the cached
+  /// symbol of the current binding, resolved (and cached) when the label
+  /// is new to it or missed before; kUnboundSymbol when unbound.
+  automata::Symbol SymbolForLabel(uint32_t label);
+
+  /// Resolves each distinct label of the live elements once, in row order,
+  /// and writes every live element's symbol (Bind and BindInterning).
+  void BindRows();
 
   /// The attribute vector of `id`, creating its side-table slot on demand.
   std::vector<Attribute>& MutableAttributes(NodeId id);
 
   internal::NodeColumns cols_;
   internal::StringArena strings_;
+  internal::LabelTable labels_;
   std::vector<std::vector<Attribute>> attr_slots_;
 
   NodeId root_ = kInvalidNode;

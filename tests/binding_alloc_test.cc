@@ -222,6 +222,35 @@ TEST(BindingAllocTest, ShrinkingRenameAndSetTextAreZeroAllocation) {
       << "shrinking payload edits should reuse the arena bytes in place";
 }
 
+// A label the document already holds is stored once, in its label table:
+// appending an element with it writes one row and no label bytes, whether
+// the label is predicted from the siblings or found by hashing.
+TEST(BindingAllocTest, AppendNewElementWithKnownLabelAllocatesNothing) {
+  auto alphabet = std::make_shared<automata::Alphabet>();
+  xml::Document doc;
+  xml::NodeId root = doc.AppendNewElement(xml::kInvalidNode, "items");
+  xml::NodeId item = doc.AppendNewElement(root, "item");
+  doc.AppendNewElement(item, "productName");
+  doc.AppendNewElement(item, "quantity");
+  ASSERT_OK(doc.BindInterning(alphabet));
+  ASSERT_LT(doc.NodeCount() + 16, size_t{64});  // rows fit the first block
+
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  xml::NodeId next = doc.AppendNewElement(root, "item");  // predicted
+  doc.AppendNewElement(next, "productName");              // predicted
+  doc.AppendNewElement(next, "quantity");                 // predicted
+  doc.AppendNewElement(next, "item");                     // hashed
+  xml::NodeId detached = doc.CreateElement("quantity");   // hashed
+  g_counting.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+      << "appending an element with a known label allocated";
+  EXPECT_EQ(doc.label(next), "item");
+  EXPECT_EQ(doc.symbol(detached), *alphabet->Find("quantity"));
+  EXPECT_EQ(alphabet->size(), 4u);
+}
+
 // A warmed tokenizer allocates nothing per tag or attribute: names and
 // undecoded values are views into the chunk, and the open-tag stack, the
 // attribute list, the decode buffers and the carry buffer keep their

@@ -148,13 +148,13 @@ TEST(BindingTest, RebindToDifferentAlphabetReResolves) {
   EXPECT_EQ(doc.symbol(doc.root()), a2);
 }
 
+// Parse, then BindInterning: the one way to intern a parsed document.
 TEST(BindingTest, ParserInternsWhenGivenAlphabet) {
   auto alphabet = std::make_shared<Alphabet>();
-  xml::ParseOptions options;
-  options.intern_alphabet = alphabet;
   ASSERT_OK_AND_ASSIGN(
       xml::Document doc,
-      xml::ParseXml("<po><item>1</item><item>2</item></po>", options));
+      xml::ParseXml("<po><item>1</item><item>2</item></po>"));
+  ASSERT_OK(doc.BindInterning(alphabet));
   EXPECT_TRUE(doc.IsBound());
   EXPECT_TRUE(doc.BoundTo(*alphabet));
   ASSERT_TRUE(alphabet->Find("po").has_value());

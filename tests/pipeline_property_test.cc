@@ -191,12 +191,11 @@ TEST_P(PipelineProperty, BindingStaysCoherentUnderEditsAndRoundTrips) {
     ASSERT_OK(editor.Commit());
     ExpectBindingCoherent(*doc, *pair.alphabet, GetParam(), seed);
 
-    // Serialize → reparse with an interning alphabet: coherent again.
+    // Serialize → reparse → bind interning: coherent again.
     std::string text = xml::Serialize(*doc);
-    xml::ParseOptions parse_options;
-    parse_options.intern_alphabet = pair.alphabet;
-    auto reparsed = xml::ParseXml(text, parse_options);
+    auto reparsed = xml::ParseXml(text);
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    ASSERT_OK(reparsed->BindInterning(pair.alphabet));
     ASSERT_TRUE(reparsed->BoundTo(*pair.alphabet));
     ExpectBindingCoherent(*reparsed, *pair.alphabet, GetParam(), seed);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,6 +92,109 @@ TEST(PushParserTest, WhitespaceModeParity) {
   keep.skip_whitespace_text = false;
   ExpectParity("<a>\n<b/> </a>", keep);
   ExpectParity("<a> mixed <b/>\n\t</a>", keep);
+}
+
+// Whitespace runs that end at a start or end tag are dropped inside the
+// text scan; every other run takes the general text path. Either way the
+// events are those of a text node that skip_whitespace_text drops when it
+// is all whitespace (the expected streams below), at every chunking, in
+// both whitespace modes.
+struct WhitespaceCase {
+  std::string_view doc;
+  std::vector<std::string> skip;  // skip_whitespace_text = true
+  std::vector<std::string> keep;  // skip_whitespace_text = false
+};
+
+TEST(PushParserTest, WhitespaceRunsBeforeMarkupKeepTheirEvents) {
+  const std::string spaces40(40, ' ');
+  const std::string long_run = "<r>" + spaces40 + "<a/>" + spaces40 + "</r>";
+  const std::string solid_late =
+      "<r>" + std::string(20, ' ') + "x" + std::string(5, '\t') + "<a/></r>";
+  const std::string solid_early = "<r>x" + spaces40 + "<a/></r>";
+  const WhitespaceCase cases[] = {
+      {"<r> \n\t\r<a/></r>", {"+r", "+a", "-a", "-r"},
+       {"+r", "t: \n\t\r", "+a", "-a", "-r"}},
+      {"<r><a>x</a>\n  </r>", {"+r", "+a", "t:x", "-a", "-r"},
+       {"+r", "+a", "t:x", "-a", "t:\n  ", "-r"}},
+      {"<r>  <!-- c -->  <a/></r>", {"+r", "+a", "-a", "-r"},
+       {"+r", "t:    ", "+a", "-a", "-r"}},
+      {"<r> \n<?pi x?> <a/></r>", {"+r", "+a", "-a", "-r"},
+       {"+r", "t: \n ", "+a", "-a", "-r"}},
+      {"<r>  <![CDATA[x]]>  </r>", {"+r", "t:  x  ", "-r"},
+       {"+r", "t:  x  ", "-r"}},
+      {"<r>  <![CDATA[ ]]>  </r>", {"+r", "-r"}, {"+r", "t:     ", "-r"}},
+      {"<r>  &amp;  </r>", {"+r", "t:  &  ", "-r"}, {"+r", "t:  &  ", "-r"}},
+      {"<r>  <!-- c -->x</r>", {"+r", "t:  x", "-r"}, {"+r", "t:  x", "-r"}},
+      {"<r> <?pi?>x</r>", {"+r", "t: x", "-r"}, {"+r", "t: x", "-r"}},
+      {"<r>&amp; <a/></r>", {"+r", "t:& ", "+a", "-a", "-r"},
+       {"+r", "t:& ", "+a", "-a", "-r"}},
+      {"<r>x<!-- c -->  </r>", {"+r", "t:x  ", "-r"}, {"+r", "t:x  ", "-r"}},
+      {"<r> &#32; <a/></r>", {"+r", "+a", "-a", "-r"},
+       {"+r", "t:   ", "+a", "-a", "-r"}},
+      {"<r>x  <a/>  y</r>", {"+r", "t:x  ", "+a", "-a", "t:  y", "-r"},
+       {"+r", "t:x  ", "+a", "-a", "t:  y", "-r"}},
+      {"<r>\n <a>\n  <b>t</b>\n </a>\n</r>",
+       {"+r", "+a", "+b", "t:t", "-b", "-a", "-r"},
+       {"+r", "t:\n ", "+a", "t:\n  ", "+b", "t:t", "-b", "t:\n ", "-a",
+        "t:\n", "-r"}},
+      {long_run, {"+r", "+a", "-a", "-r"},
+       {"+r", "t:" + spaces40, "+a", "-a", "t:" + spaces40, "-r"}},
+      {solid_late, {"+r", "t:" + solid_late.substr(3, 26), "+a", "-a", "-r"},
+       {"+r", "t:" + solid_late.substr(3, 26), "+a", "-a", "-r"}},
+      {solid_early, {"+r", "t:x" + spaces40, "+a", "-a", "-r"},
+       {"+r", "t:x" + spaces40, "+a", "-a", "-r"}},
+  };
+  const size_t chunks[] = {1, 2, 3, 7, 16, 17};
+  for (const WhitespaceCase& c : cases) {
+    for (bool skip : {true, false}) {
+      ParseOptions options;
+      options.skip_whitespace_text = skip;
+      const std::vector<std::string>& expected = skip ? c.skip : c.keep;
+      PushOutcome whole = RunPush(c.doc, c.doc.size(), options);
+      ASSERT_OK(whole.status);
+      EXPECT_EQ(whole.events, expected) << c.doc << " skip=" << skip;
+      for (size_t chunk : chunks) {
+        PushOutcome out = RunPush(c.doc, chunk, options);
+        ASSERT_OK(out.status);
+        EXPECT_EQ(out.events, expected)
+            << c.doc << " skip=" << skip << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+// A '<' after a whitespace run that opens neither a tag nor markup fails
+// with the same message whether or not the run was dropped.
+TEST(PushParserTest, WhitespaceBeforeBadMarkupKeepsTheError) {
+  for (bool skip : {true, false}) {
+    ParseOptions options;
+    options.skip_whitespace_text = skip;
+    for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                         size_t{16}, size_t{17}, size_t{4096}}) {
+      PushOutcome out = RunPush("<r>  <1/></r>", chunk, options);
+      EXPECT_EQ(out.status.code(), StatusCode::kParseError);
+      EXPECT_EQ(out.status.message(),
+                "XML parse error at byte 6: expected XML name")
+          << "chunk=" << chunk;
+    }
+  }
+}
+
+TEST(PushParserTest, ClassifyTextBlockMatchesScalar) {
+  std::mt19937_64 rng(7);
+  const char kBytes[] = {' ', '\t', '\n', '\r', '<', '&', 'a', '\0',
+                         '\x0B', '\x0C', '\x85', '\xA0', '\xFF', '>'};
+  for (int block = 0; block < 20000; ++block) {
+    char buf[16];
+    for (char& b : buf) {
+      b = rng() % 4 == 0 ? static_cast<char>(rng())
+                         : kBytes[rng() % sizeof(kBytes)];
+    }
+    const TextMasks simd = ClassifyTextBlock(buf);
+    const TextMasks scalar = ClassifyTextBlockScalar(buf);
+    ASSERT_EQ(simd.stop, scalar.stop) << "block " << block;
+    ASSERT_EQ(simd.solid, scalar.solid) << "block " << block;
+  }
 }
 
 TEST(PushParserTest, MalformedCorpusParity) {

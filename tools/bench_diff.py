@@ -17,7 +17,8 @@ reported as such and never compared — a quarantined file must not gate
 anything, and silently treating it as "no baseline" would hide why.
 
 Gated metrics default to the binding bench's hot-path costs: the cast
-walk's ns/node, the tokenizer's ns/byte and the skip scanner's ns/byte.
+walk's ns/node, the tokenizer's ns/byte, the skip scanner's ns/byte and
+Document::Bind's ns/node.
 Everything else that looks like a latency (*_ns, *_ns_per_node,
 *_ns_per_byte, *_us) is reported informationally.
 
@@ -33,7 +34,8 @@ import os
 import sys
 
 DEFAULT_FAIL_KEYS = ("bound_ns_per_node", "unbound_ns_per_node",
-                     "tokenize_ns_per_byte", "skip_ns_per_byte")
+                     "tokenize_ns_per_byte", "skip_ns_per_byte",
+                     "bind_ns_per_node")
 
 
 def is_latency_key(key: str) -> bool:
