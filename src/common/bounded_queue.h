@@ -1,9 +1,9 @@
 // BoundedQueue<T> — a bounded, blocking MPMC work queue.
 //
-// The executor's external-submission (and formerly the batch pipeline's)
-// backpressure primitive: producers block in Push when the queue is full,
-// so a caller submitting a huge batch can never balloon memory past
-// `capacity` in-flight items; consumers block in Pop when it is empty.
+// The executor's task queue and backpressure primitive: producers block in
+// Push when the queue is full, so a caller submitting a huge batch can
+// never balloon memory past `capacity` in-flight items; consumers block in
+// Pop when it is empty.
 // Close() wakes everyone: pending items still drain, then Pop returns
 // nullopt and further Pushes are refused.
 //
@@ -45,34 +45,10 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push: false when full or closed.
-  bool TryPush(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks while empty. Returns nullopt once closed AND drained.
   std::optional<T> Pop() {
     std::unique_lock lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop: nullopt when empty (regardless of closed state —
-  /// accepted items always drain). The executor's workers poll with this
-  /// between deque scans instead of parking on the queue's own CV.
-  std::optional<T> TryPop() {
-    std::unique_lock lock(mutex_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
@@ -90,8 +66,6 @@ class BoundedQueue {
     not_full_.notify_all();
     not_empty_.notify_all();
   }
-
-  size_t capacity() const { return capacity_; }
 
   size_t size() const {
     std::lock_guard lock(mutex_);

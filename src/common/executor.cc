@@ -1,5 +1,6 @@
 #include "common/executor.h"
 
+#include <optional>
 #include <utility>
 
 namespace xmlreval::common {
@@ -12,200 +13,44 @@ size_t ResolveThreads(size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-// Worker identity for Submit's fast path. An executor pointer plus index:
-// a thread belongs to at most one executor for its whole lifetime, so a
-// plain thread_local needs no cleanup.
-thread_local const Executor* tls_executor = nullptr;
-thread_local size_t tls_worker_index = 0;
-
 }  // namespace
 
 Executor::Executor(const Options& options)
     : depth_hook_(options.depth_hook),
       task_wrapper_(options.task_wrapper),
-      injection_(options.queue_capacity) {
+      queue_(options.queue_capacity) {
   size_t threads = ResolveThreads(options.threads);
-  deques_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 Executor::~Executor() { Shutdown(); }
 
-bool Executor::OnWorkerThread() const { return tls_executor == this; }
-
-void Executor::OnQueued() {
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (depth_hook_) depth_hook_(+1);
-}
-
-void Executor::OnPicked() {
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  if (depth_hook_) depth_hook_(-1);
-}
-
 bool Executor::Submit(Task task) {
   // Wrap on the submitting thread, so the wrapper can capture this
   // thread's context before the task crosses to a worker.
   if (task_wrapper_) task = task_wrapper_(std::move(task));
-  if (tls_executor == this) {
-    WorkerDeque& own = *deques_[tls_worker_index];
-    {
-      std::lock_guard lock(own.mutex);
-      own.tasks.push_back(std::move(task));
-    }
-    OnQueued();
-    NotifyWork();
-    return true;
-  }
-  if (!injection_.Push(std::move(task))) return false;
-  OnQueued();
-  NotifyWork();
+  if (!queue_.Push(std::move(task))) return false;
+  if (depth_hook_) depth_hook_(+1);
   return true;
 }
 
-void Executor::NotifyWork() {
-  {
-    std::lock_guard lock(sleep_mutex_);
-    ++wake_epoch_;
-  }
-  sleep_cv_.notify_one();
-}
-
-bool Executor::TryAcquire(size_t self, Task* task, bool* stolen) {
-  // Own deque first, LIFO side.
-  {
-    WorkerDeque& own = *deques_[self];
-    std::lock_guard lock(own.mutex);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      *stolen = false;
-      return true;
-    }
-  }
-  // Injection queue next: external work is older than anything stealable.
-  if (std::optional<Task> injected = injection_.TryPop()) {
-    *task = std::move(*injected);
-    *stolen = false;
-    return true;
-  }
-  // Steal FIFO from peers, round-robin from the right neighbor.
-  for (size_t k = 1; k < deques_.size(); ++k) {
-    WorkerDeque& victim = *deques_[(self + k) % deques_.size()];
-    std::lock_guard lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      *stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void Executor::WorkerLoop(size_t index) {
-  tls_executor = this;
-  tls_worker_index = index;
-  for (;;) {
-    // Capture the epoch BEFORE scanning: any submission after this point
-    // bumps it, so the wait below returns immediately instead of missing
-    // the task.
-    uint64_t epoch;
-    {
-      std::lock_guard lock(sleep_mutex_);
-      epoch = wake_epoch_;
-    }
-    Task task;
-    bool stolen = false;
-    bool acquired = TryAcquire(index, &task, &stolen);
-    if (!acquired && stop_.load(std::memory_order_acquire)) {
-      // The empty scan above may have raced with an external Submit whose
-      // Push was accepted just before Close(): scan sees nothing, the Push
-      // lands, Close returns, stop_ is set. The acquire-load of stop_
-      // synchronizes with the release-store that follows Close, and the
-      // Push happened-before Close (queue mutex), so one post-stop rescan
-      // is guaranteed to see any pre-Close push. Exit only when that
-      // rescan also finds nothing: remaining work can then only be spawned
-      // by tasks still running on OTHER workers, and those workers drain
-      // their own spawns before exiting.
-      acquired = TryAcquire(index, &task, &stolen);
-      if (!acquired) return;
-    }
-    if (acquired) {
-      OnPicked();
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      if (stolen) stolen_.fetch_add(1, std::memory_order_relaxed);
-      task();
-      task = nullptr;  // release captures before the next scan
-      continue;
-    }
-    idle_workers_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::unique_lock lock(sleep_mutex_);
-      sleep_cv_.wait(lock, [&] {
-        return wake_epoch_ != epoch || stop_.load(std::memory_order_acquire);
-      });
-    }
-    idle_workers_.fetch_sub(1, std::memory_order_relaxed);
+void Executor::WorkerLoop() {
+  // Pop returns nullopt only once the queue is closed AND drained, so
+  // every task accepted before Shutdown runs.
+  while (std::optional<Task> task = queue_.Pop()) {
+    if (depth_hook_) depth_hook_(-1);
+    (*task)();
   }
 }
 
 void Executor::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    injection_.Close();  // refuse new external work; accepted items remain
-    stop_.store(true, std::memory_order_release);
-    {
-      std::lock_guard lock(sleep_mutex_);
-      ++wake_epoch_;
-    }
-    sleep_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
+    queue_.Close();
+    for (std::thread& worker : workers_) worker.join();
   });
 }
 
-Executor::Stats Executor::stats() const {
-  Stats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.executed = executed_.load(std::memory_order_relaxed);
-  stats.stolen = stolen_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void TaskGroup::Spawn(Executor::Task task) {
-  {
-    std::lock_guard lock(mutex_);
-    ++pending_;
-  }
-  // Shared holder so the task survives a refused Submit (a moved-from
-  // std::function cannot be re-run). Submit fails only when the executor
-  // is shutting down; the spawning thread then runs the task inline so
-  // Wait still converges.
-  auto holder = std::make_shared<Executor::Task>(std::move(task));
-  auto wrapped = [this, holder] {
-    (*holder)();
-    Finish();
-  };
-  if (!executor_->Submit(wrapped)) wrapped();
-}
-
-void TaskGroup::Finish() {
-  std::lock_guard lock(mutex_);
-  if (--pending_ == 0) done_cv_.notify_all();
-}
-
-void TaskGroup::Wait() {
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
-}
-
 }  // namespace xmlreval::common
-

@@ -1,44 +1,16 @@
-// Executor — a fixed-size work-stealing thread pool.
+// Executor — a fixed-size FIFO thread pool.
 //
-// Generalizes the service layer's old ThreadPool (FIFO over one shared
-// BoundedQueue) into the scheduling substrate both the batch pipeline and
-// the parallel cast engine run on:
-//
-//   * External submissions (any non-worker thread) go through a bounded
-//     injection queue — Submit blocks while it is full (backpressure, not
-//     unbounded buffering) and returns false only after Shutdown, exactly
-//     the old ThreadPool contract.
-//   * Worker-side submissions (a task spawning subtasks) push onto the
-//     submitting worker's own deque — never blocking, never failing — so
-//     divide-and-conquer work can fan out without deadlocking on its own
-//     backpressure.
-//   * Each worker pops its own deque LIFO (back) for locality; idle
-//     workers steal FIFO (front) from their peers, which for the cast
-//     engine's document-order stacks hands thieves the largest pending
-//     subtree spans.
-//
-// Wake protocol: a sleeper re-checks every queue after capturing the wake
-// epoch, and every submission bumps the epoch before notifying, so a task
-// enqueued between "scan found nothing" and "wait" is never missed.
-// Shutdown closes the injection queue, then drains: every task accepted
-// before Close — plus anything running tasks spawn while draining — runs
-// before the workers exit.
-//
-// HasIdleWorker() is the donation heuristic for lazy splitting: a relaxed
-// read of the number of workers currently parked (or about to park). It
-// may be stale in either direction; callers use it to decide whether
-// splitting their work could possibly help, not for correctness. With one
-// worker executing, it reads 0 — so single-threaded runs never split.
+// The batch pipeline's scheduling substrate: a fixed set of workers that
+// block on one BoundedQueue<Task>. Submit blocks while the queue is full
+// (backpressure, not unbounded buffering) and returns false only after
+// Shutdown. Shutdown closes the queue, lets the workers drain every task
+// accepted before the close, then joins them.
 
 #ifndef XMLREVAL_COMMON_EXECUTOR_H_
 #define XMLREVAL_COMMON_EXECUTOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -54,12 +26,12 @@ class Executor {
   struct Options {
     /// Worker count; 0 = std::thread::hardware_concurrency (min 1).
     size_t threads = 0;
-    /// Injection-queue capacity for EXTERNAL Submits (backpressure
-    /// threshold). Worker-side submits bypass it and never block.
+    /// Queue capacity (backpressure threshold for Submit).
     size_t queue_capacity = 256;
     /// Called with +1 when a task is queued and -1 when a worker picks it
-    /// up; lets the owner mirror QueueDepth() into a metrics gauge without
-    /// the executor depending on the obs layer. Must be thread-safe.
+    /// up; lets the owner mirror the queue depth into a metrics gauge
+    /// without the executor depending on the obs layer. Must be
+    /// thread-safe.
     std::function<void(int64_t)> depth_hook;
     /// Applied to every task at Submit time, ON THE SUBMITTING thread:
     /// the task actually enqueued is task_wrapper(task). Lets the owner
@@ -70,107 +42,27 @@ class Executor {
     std::function<Task(Task)> task_wrapper;
   };
 
-  /// Cumulative scheduling counters (relaxed; read for tests/diagnostics).
-  struct Stats {
-    uint64_t submitted = 0;  // accepted tasks, external + worker-side
-    uint64_t executed = 0;
-    uint64_t stolen = 0;  // executed tasks taken from another worker's deque
-  };
-
   explicit Executor(const Options& options);
-  Executor() : Executor(Options{}) {}
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
   ~Executor();
 
-  /// Enqueues a task. From a worker thread of THIS executor: pushed onto
-  /// that worker's deque, always accepted (even while shutting down, so
-  /// draining tasks can still fan out). From any other thread: blocks
-  /// while the injection queue is full and returns false once Shutdown has
-  /// begun (the task is dropped).
+  /// Enqueues a task. Blocks while the queue is full; returns false once
+  /// Shutdown has begun (the task is dropped).
   bool Submit(Task task);
 
-  /// Stops accepting external tasks, drains everything already accepted,
-  /// joins the workers. Idempotent.
+  /// Stops accepting tasks, drains everything already accepted, joins the
+  /// workers. Idempotent.
   void Shutdown();
 
-  size_t thread_count() const { return workers_.size(); }
-
-  /// True when some worker is parked waiting for work (advisory; see
-  /// header comment).
-  bool HasIdleWorker() const {
-    return idle_workers_.load(std::memory_order_relaxed) > 0;
-  }
-
-  /// Tasks queued and not yet picked up (injection queue + all deques).
-  size_t QueueDepth() const {
-    int64_t depth = queued_.load(std::memory_order_relaxed);
-    return depth > 0 ? static_cast<size_t>(depth) : 0;
-  }
-
-  Stats stats() const;
-
-  /// True when the calling thread is one of this executor's workers.
-  bool OnWorkerThread() const;
-
  private:
-  struct WorkerDeque {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(size_t index);
-  bool TryAcquire(size_t self, Task* task, bool* stolen);
-  void NotifyWork();
-  void OnQueued();
-  void OnPicked();
+  void WorkerLoop();
 
   const std::function<void(int64_t)> depth_hook_;
   const std::function<Task(Task)> task_wrapper_;
-  BoundedQueue<Task> injection_;
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
+  BoundedQueue<Task> queue_;
   std::vector<std::thread> workers_;
-
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  uint64_t wake_epoch_ = 0;  // guarded by sleep_mutex_
-  std::atomic<bool> stop_{false};
-
-  std::atomic<int64_t> idle_workers_{0};
-  std::atomic<int64_t> queued_{0};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> stolen_{0};
-
   std::once_flag shutdown_once_;
-};
-
-/// TaskGroup — completion tracking for a fan-out of executor tasks.
-///
-/// Spawn wraps each task with a pending count; Wait blocks (without
-/// helping) until every spawned task — including tasks spawned by tasks —
-/// has finished. If the executor refuses a spawn (external submit after
-/// Shutdown), the task runs inline on the spawning thread so the count
-/// still converges.
-class TaskGroup {
- public:
-  explicit TaskGroup(Executor* executor) : executor_(executor) {}
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-  /// All spawned tasks must have completed (callers Wait before
-  /// destroying the group).
-  ~TaskGroup() = default;
-
-  void Spawn(Executor::Task task);
-  void Wait();
-
- private:
-  void Finish();
-
-  Executor* executor_;
-  std::mutex mutex_;
-  std::condition_variable done_cv_;
-  size_t pending_ = 0;  // guarded by mutex_
 };
 
 }  // namespace xmlreval::common

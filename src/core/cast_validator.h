@@ -10,9 +10,7 @@
 //
 // The traversal is an explicit preorder frontier (a stack of CastUnits),
 // not recursion: documents of pathological depth validate in O(1) native
-// stack, and the same per-unit engine (core/cast_walk.h) powers both this
-// serial validator and ParallelCastValidator, whose tasks process disjoint
-// slices of the frontier.
+// stack. The per-unit engine lives in core/cast_walk.h.
 //
 // PRECONDITION: the document is valid with respect to relations->source().
 // Feeding a source-invalid document is library misuse; the validator may
@@ -37,8 +35,7 @@ namespace xmlreval::core {
 /// unit at the child's frontier position instead of failing on the spot,
 /// so failures surface in exactly the order the recursive algorithm
 /// reported them (everything document-order-before the child is validated
-/// first) — the invariant the parallel engine's first-failure tracking is
-/// built on.
+/// first).
 enum class CastUnitKind : uint8_t {
   kValidate,         // run validate(τ, τ', e) on this node
   kUnboundLabel,     // label outside Σ: fail when popped

@@ -1,19 +1,13 @@
-// CastWalk — the per-unit engine behind both cast validators (internal).
+// CastWalk — the per-unit engine behind CastValidator (internal).
 //
 // ProcessUnit is the body of §3.2's validate(τ, τ', e) for ONE node: the
 // subsumed/disjoint short-circuits, the simple-value or content-model
 // check, and the child-typing pass that pushes the children onto the
 // frontier in reverse document order (so a LIFO pop yields preorder).
-// CastValidator drains one frontier on one thread; ParallelCastValidator
-// runs the same code over donated frontier slices on many. Keeping the
-// node-level logic in one place is what makes the two engines' verdicts,
-// paths, and counters bit-identical.
+// CastValidator drains that frontier on one thread.
 //
-// Counting discipline matches report.h: a node is visited once, at entry —
-// in serial mode that entry is the unit's pop; in prune_subsumed_at_push
-// mode a subsumed child's entry is charged at push time instead (same
-// totals, but the child never becomes a frontier unit, which is what keeps
-// subsumed subtrees from ever becoming parallel tasks).
+// Counting discipline matches report.h: a node is visited once, at entry,
+// which is the unit's pop.
 //
 // Failure protocol: ProcessUnit returns false with fail_node / fail_message
 // set; it never materializes a Dewey path (the caller reconstructs one
@@ -50,17 +44,14 @@ struct CastWalk {
   // Document accessors, and software-prefetch the next sibling's row.
   // Safe for the walk's lifetime — validation never creates nodes.
   const xml::Document::HotView hv = doc.hot_view();
-  // Parallel mode: subsumed children are counted and dropped at push time
-  // instead of being pushed for an O(1) pop.
-  bool prune_subsumed_at_push = false;
-  ValidationCounters counters;
+  ValidationCounters counters{};
   // Reusable buffer for multi-text-chunk simple values (CastScratch).
   std::string* simple_value = nullptr;
 
   // Set when ProcessUnit returns false. fail_node carries the node the
   // violation is REPORTED AT (the parent, for poisoned child units).
   xml::NodeId fail_node = xml::kInvalidNode;
-  std::string fail_message;
+  std::string fail_message{};
 
   bool Fail(xml::NodeId node, std::string message) {
     fail_node = node;
@@ -287,13 +278,6 @@ struct CastWalk {
       TypeId child_s = source.ChildType(s_type, sym);
       if (child_s == schema::kInvalidType) {
         frontier->push_back({c, s_type, t_type, CastUnitKind::kPrecondition});
-        continue;
-      }
-      if (prune_subsumed_at_push && rel.Subsumed(child_s, child_t)) {
-        // Entry counters the child would have charged at its own pop.
-        ++counters.nodes_visited;
-        ++counters.elements_visited;
-        ++counters.subtrees_skipped;
         continue;
       }
       frontier->push_back({c, child_s, child_t, CastUnitKind::kValidate});

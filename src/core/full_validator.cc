@@ -84,8 +84,9 @@ struct FullValidator::Walk {
     // expands on first use and never forces the full subset construction;
     // eager models read the minimized table.
     const automata::LazyDfa* lazy = schema.LazyContentDfa(type);
-    const automata::Dfa* dfa = lazy == nullptr ? &schema.ContentDfa(type)
-                                               : nullptr;
+    // A type with no lazy model was compiled eagerly, so its DFA is set.
+    const automata::Dfa* dfa =
+        lazy == nullptr ? &*schema.complex_type(type).dfa : nullptr;
     automata::StateId q =
         lazy != nullptr ? lazy->start_state() : dfa->start_state();
     const size_t sigma =

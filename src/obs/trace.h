@@ -15,15 +15,15 @@
 // trace_id (or adopts the caller's — batch items nest the per-op calls
 // under one id); every span started while the scope is live is stamped
 // with that id, so all spans of one request are joinable even across
-// threads. Cross-thread handoffs — Executor::Submit task wrappers,
-// ParallelCastValidator donations, the batch queue — carry the context
-// explicitly: the spawner calls ForkFlow(name) (which emits a Chrome flow
-// START event, "ph":"s", inside the spawning span), ships the returned
-// context with the task, and the worker installs it with
-// ScopedTraceContext; the first span the task opens then emits the
-// matching flow FINISH event ("ph":"f","bp":"e"), so Perfetto renders an
-// arrow from the spawning span to the stolen task. FlowStep emits an
-// intermediate "ph":"t" step (the batch pipeline marks queue pickup).
+// threads. Cross-thread handoffs — Executor::Submit task wrappers and the
+// batch queue — carry the context explicitly: the submitter calls
+// ForkFlow(name) (which emits a Chrome flow START event, "ph":"s", inside
+// the submitting span), ships the returned context with the task, and the
+// worker installs it with ScopedTraceContext; the first span the task
+// opens then emits the matching flow FINISH event ("ph":"f","bp":"e"), so
+// Perfetto renders an arrow from the submitting span to the task on its
+// worker. FlowStep emits an intermediate "ph":"t" step (the batch
+// pipeline marks queue pickup).
 //
 // TAIL SAMPLING. With TraceSink tail sampling enabled, events that carry
 // a trace_id are STAGED per request instead of entering the ring; when the

@@ -75,8 +75,6 @@ ValidationService::ValidationService(const Options& options)
   batch_inflight_ = metrics_.gauge("xmlreval_batch_inflight");
   batch_queue_depth_ = metrics_.gauge("xmlreval_executor_queue_depth",
                                       {{"executor", "batch"}});
-  intra_queue_depth_ = metrics_.gauge("xmlreval_executor_queue_depth",
-                                      {{"executor", "intra_doc"}});
   doc_bytes_ = metrics_.gauge("xmlreval_doc_bytes");
   doc_bytes_per_node_ = metrics_.gauge("xmlreval_doc_bytes_per_node");
   trace_buffered_events_ = metrics_.gauge("xmlreval_trace_buffered_events");
@@ -108,32 +106,14 @@ void ValidationService::PublishObsHealth() {
 
   // Queue depth: expose the interval's high-water mark, then re-arm the
   // mark at the live depth so the next interval starts fresh.
-  auto publish_hwm = [](std::atomic<int64_t>& depth,
-                        std::atomic<int64_t>& hwm, obs::Gauge* gauge) {
-    int64_t current = depth.load(std::memory_order_relaxed);
-    int64_t peak = hwm.exchange(current, std::memory_order_relaxed);
-    gauge->Set(peak > current ? peak : current);
-  };
-  publish_hwm(batch_depth_, batch_depth_hwm_, batch_queue_depth_);
-  publish_hwm(intra_depth_, intra_depth_hwm_, intra_queue_depth_);
+  int64_t current = batch_depth_.load(std::memory_order_relaxed);
+  int64_t peak = batch_depth_hwm_.exchange(current, std::memory_order_relaxed);
+  batch_queue_depth_->Set(peak > current ? peak : current);
 }
 
 ValidationService::~ValidationService() {
-  // Drain in-flight work before members are destroyed, WITHOUT holding
-  // executors_mutex_: a draining batch worker may still call
-  // IntraExecutor() (large-document cast), and blocking it on a mutex the
-  // joining thread holds would deadlock the join. Batch first — only once
-  // its workers have exited is the intra pointer final (a worker may
-  // create the intra executor mid-drain; its release-store is paired with
-  // the acquire-load below).
-  if (common::Executor* batch =
-          batch_executor_ptr_.load(std::memory_order_acquire)) {
-    batch->Shutdown();
-  }
-  if (common::Executor* intra =
-          intra_executor_ptr_.load(std::memory_order_acquire)) {
-    intra->Shutdown();
-  }
+  // Drain in-flight batch items while every member they touch is alive.
+  if (batch_executor_) batch_executor_->Shutdown();
 }
 
 Result<SchemaHandle> ValidationService::RegisterText(const std::string& key,
@@ -385,19 +365,6 @@ Result<core::ValidationReport> ValidationService::Cast(
             "document is not valid under the source schema (" +
             source_report.violation + "); the cast precondition fails");
       }
-    }
-    // Large documents fan their subtrees out over the intra-doc executor;
-    // below the threshold (or with the feature off) the serial engine
-    // wins — spawn overhead would swamp a small walk. Either engine
-    // returns the same report on the same input.
-    if (options_.intra_doc_threads > 0 &&
-        doc.NodeCount() >= options_.intra_doc_min_nodes) {
-      core::ParallelCastValidator::Options parallel_options;
-      parallel_options.cast = options_.cast;
-      parallel_options.spawn_threshold = options_.intra_doc_spawn_threshold;
-      return core::ParallelCastValidator(relations.get(), &IntraExecutor(),
-                                         parallel_options)
-          .Validate(doc);
     }
     return core::CastValidator(relations.get(), options_.cast).Validate(doc);
   };
@@ -660,14 +627,7 @@ Result<ValidationService::EditStreamResult> ValidationService::SubmitEditStream(
 }
 
 common::Executor& ValidationService::BatchExecutor() {
-  // Double-checked: lock-free after first init (see header comment on
-  // executors_mutex_).
-  if (common::Executor* existing =
-          batch_executor_ptr_.load(std::memory_order_acquire)) {
-    return *existing;
-  }
-  std::lock_guard lock(executors_mutex_);
-  if (!batch_executor_) {
+  std::call_once(batch_executor_once_, [this] {
     common::Executor::Options options;
     options.threads = options_.batch_threads;
     options.queue_capacity = options_.batch_queue_capacity;
@@ -691,37 +651,8 @@ common::Executor& ValidationService::BatchExecutor() {
       });
     };
     batch_executor_ = std::make_unique<common::Executor>(options);
-    batch_executor_ptr_.store(batch_executor_.get(),
-                              std::memory_order_release);
-  }
+  });
   return *batch_executor_;
-}
-
-common::Executor& ValidationService::IntraExecutor() {
-  if (common::Executor* existing =
-          intra_executor_ptr_.load(std::memory_order_acquire)) {
-    return *existing;
-  }
-  std::lock_guard lock(executors_mutex_);
-  if (!intra_executor_) {
-    common::Executor::Options options;
-    options.threads = options_.intra_doc_threads;
-    // Donated subtree tasks come from worker threads (own deques); the
-    // injection queue only ever carries each document's root task.
-    options.queue_capacity = 64;
-    options.depth_hook = [this](int64_t delta) {
-      int64_t now =
-          intra_depth_.fetch_add(delta, std::memory_order_relaxed) + delta;
-      int64_t seen = intra_depth_hwm_.load(std::memory_order_relaxed);
-      while (now > seen && !intra_depth_hwm_.compare_exchange_weak(
-                               seen, now, std::memory_order_relaxed)) {
-      }
-    };
-    intra_executor_ = std::make_unique<common::Executor>(options);
-    intra_executor_ptr_.store(intra_executor_.get(),
-                              std::memory_order_release);
-  }
-  return *intra_executor_;
 }
 
 ValidationService::BatchItemResult ValidationService::ProcessItem(
@@ -825,9 +756,9 @@ ValidationService::SubmitBatch(std::vector<BatchItem> items) {
     const uint64_t enqueued_us = obs::TraceNowMicros();
     auto task = [this, state, i, enqueued_us, item_ctx] {
       // This scope OWNS the item's trace: it minted above, and everything
-      // the item does (parse, bind, nested Cast/Validate, intra-doc
-      // fan-out) runs below it, so its destructor resolves tail sampling
-      // after the last span of the item has been staged.
+      // the item does (parse, bind, nested Cast/Validate) runs below it,
+      // so its destructor resolves tail sampling after the last span of
+      // the item has been staged.
       obs::RequestScope request_scope(item_ctx);
       obs::ScopedTraceContext scoped(item_ctx);
       const uint64_t picked_up_us = obs::TraceNowMicros();

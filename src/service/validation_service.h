@@ -15,12 +15,10 @@
 // registry's reader/writer lock serializes against the alphabet reads.
 //
 // SubmitBatch is the throughput path: text-in/verdict-out items fanned out
-// over a fixed-size work-stealing executor behind a bounded injection
-// queue (backpressure, not unbounded buffering), returning a future of
-// per-item results in input order. Orthogonally, Options::intra_doc_threads
-// routes single large casts through ParallelCastValidator on a second
-// executor — latency for one big document instead of throughput across
-// many (the two compose: a batch of large documents uses both).
+// over a fixed-size FIFO executor behind a bounded queue (backpressure, not
+// unbounded buffering), returning a future of per-item results in input
+// order. Each cast is one sequential walk; concurrency comes from serving
+// many documents at once.
 //
 // Observability: every service owns a private obs::MetricsRegistry
 // (metrics()) so instances — and tests — never share counters. Published
@@ -36,8 +34,7 @@
 //   xmlreval_batch_service_us              worker parse+bind+validate
 //   xmlreval_batch_inflight                items currently in the pipeline
 //   xmlreval_executor_queue_depth{executor} HIGH-WATER queue depth since
-//                                          the previous snapshot,
-//                                          batch / intra_doc
+//                                          the previous snapshot (batch)
 //   xmlreval_trace_buffered_events         TraceSink ring fill
 //   xmlreval_trace_dropped_events          ring overwrites since Clear
 //   xmlreval_trace_tail_dropped_events     events tail sampling discarded
@@ -81,7 +78,6 @@
 #include "core/cast_validator.h"
 #include "core/full_validator.h"
 #include "core/mod_validator.h"
-#include "core/parallel_cast_validator.h"
 #include "core/report.h"
 #include "core/streaming_validator.h"
 #include "obs/metrics.h"
@@ -103,17 +99,6 @@ class ValidationService {
     /// SubmitBatch. threads == 0 means hardware concurrency.
     size_t batch_threads = 0;
     size_t batch_queue_capacity = 256;
-    /// Intra-document parallelism for Cast: 0 disables it (every cast runs
-    /// the serial engine); N > 0 creates a lazily-started N-worker
-    /// executor and routes casts of documents with at least
-    /// `intra_doc_min_nodes` nodes through ParallelCastValidator. Small
-    /// documents stay serial — fan-out overhead would swamp them.
-    size_t intra_doc_threads = 0;
-    size_t intra_doc_min_nodes = 4096;
-    /// Frontier size at which a cast task donates half its pending work
-    /// (ParallelCastValidator::Options::spawn_threshold). 0 = adaptive:
-    /// calibrated from a timed serial prefix walk at first use.
-    size_t intra_doc_spawn_threshold = 0;
     /// Enforce the §3.2 precondition on Cast: full-validate against the
     /// SOURCE schema first; a source-invalid document fails with
     /// kFailedPrecondition instead of an arbitrary verdict. Off by default
@@ -410,12 +395,8 @@ class ValidationService {
   /// occupancy, and the per-interval executor queue-depth high-water
   /// marks, so every exposition interval reads them fresh.
   void PublishObsHealth();
-  /// Lazily-started executors. The batch executor fans SubmitBatch items
-  /// out across documents; the intra-doc executor fans ONE document's cast
-  /// across subtrees. They are separate pools so a saturated batch can
-  /// never starve intra-document tasks into a deadlock (and vice versa).
+  /// The batch executor, started on the first SubmitBatch.
   common::Executor& BatchExecutor();
-  common::Executor& IntraExecutor();
   /// Publishes `doc`'s MemoryUsage into the footprint gauges.
   void ObserveDocFootprint(const xml::Document& doc);
 
@@ -427,17 +408,8 @@ class ValidationService {
   // Null unless Options::plan_cache_dir is set; publishes into metrics_.
   std::unique_ptr<PlanCache> plan_cache_;
 
-  // executors_mutex_ serializes lazy creation ONLY. After an executor is
-  // built its raw pointer is published through the atomic, and every later
-  // access (including batch workers reaching IntraExecutor() per cast)
-  // goes through the lock-free load. The destructor never takes this
-  // mutex: holding it across Shutdown() would deadlock with a draining
-  // batch worker blocked in IntraExecutor() on the same lock.
-  std::mutex executors_mutex_;
+  std::once_flag batch_executor_once_;
   std::unique_ptr<common::Executor> batch_executor_;
-  std::unique_ptr<common::Executor> intra_executor_;
-  std::atomic<common::Executor*> batch_executor_ptr_{nullptr};
-  std::atomic<common::Executor*> intra_executor_ptr_{nullptr};
 
   // Writers (Record / RecordRejected) hold the shared side across a
   // request's counter updates; counters() takes the exclusive side, so
@@ -485,13 +457,10 @@ class ValidationService {
   // live depth + running max below, and PublishObsHealth sets the gauge
   // to max(high-water, current) and re-arms the max at the current depth,
   // so a burst that drained between expositions is still visible.
-  // Labeled {executor="batch"|"intra_doc"}.
+  // Labeled {executor="batch"}.
   obs::Gauge* batch_queue_depth_;
-  obs::Gauge* intra_queue_depth_;
   std::atomic<int64_t> batch_depth_{0};
   std::atomic<int64_t> batch_depth_hwm_{0};
-  std::atomic<int64_t> intra_depth_{0};
-  std::atomic<int64_t> intra_depth_hwm_{0};
   // TraceSink health (set by PublishObsHealth each snapshot).
   obs::Gauge* trace_buffered_events_;
   obs::Gauge* trace_dropped_events_;

@@ -198,9 +198,11 @@ TEST(BindingAllocTest, HotViewPreorderWalkIsZeroAllocation) {
       << "HotView column walk allocated";
 }
 
-// Shrinking payload edits overwrite the string arena in place: renaming
-// to a shorter label and rewriting a text node with shorter content must
-// not touch the heap (growing edits may append to the arena).
+// Neither edit touches the heap. A rename repoints the row at the label
+// table's copy of the new label, and interning a new label allocates
+// nothing while the table's first (reserved) block has room. A shorter
+// SetText overwrites the text's arena bytes in place (growing edits may
+// append to the arena).
 TEST(BindingAllocTest, ShrinkingRenameAndSetTextAreZeroAllocation) {
   xml::Document doc;
   xml::NodeId root = doc.CreateElement("purchaseOrder");
@@ -219,7 +221,7 @@ TEST(BindingAllocTest, ShrinkingRenameAndSetTextAreZeroAllocation) {
   EXPECT_EQ(doc.label(root), "po");
   EXPECT_EQ(doc.text(t), "42");
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
-      << "shrinking payload edits should reuse the arena bytes in place";
+      << "rename and shrinking SetText should not allocate";
 }
 
 // A label the document already holds is stored once, in its label table:

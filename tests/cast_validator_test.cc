@@ -238,6 +238,39 @@ TEST(CastValidatorTest, ScratchReuseMatchesPlainValidate) {
   }
 }
 
+// The walk uses an explicit frontier, so a pathologically deep chain must
+// validate without exhausting the thread stack (a recursive walk overflows
+// around a few tens of thousands of levels).
+TEST(CastValidatorTest, HundredThousandDeepChainDoesNotOverflow) {
+  DtdPair p;
+  p.Load("<!ELEMENT r (r?, a?)><!ELEMENT a EMPTY>",
+         "<!ELEMENT r (r?)><!ELEMENT a EMPTY>");
+
+  constexpr size_t kDepth = 100000;
+  xml::Document doc;
+  xml::NodeId top = doc.CreateElement("r");
+  ASSERT_OK(doc.SetRoot(top));
+  xml::NodeId tip = top;
+  for (size_t i = 1; i < kDepth; ++i) {
+    xml::NodeId next = doc.CreateElement("r");
+    ASSERT_OK(doc.AppendChild(tip, next));
+    tip = next;
+  }
+  ASSERT_EQ(doc.NodeCount(), kDepth);
+
+  CastValidator cast(p.relations.get());
+  ValidationReport valid = cast.Validate(doc);
+  EXPECT_TRUE(valid.valid) << valid.violation;
+  EXPECT_EQ(valid.counters.elements_visited, kDepth);
+
+  // A violating <a/> at the very bottom: the failure carries a
+  // depth-99999 Dewey path.
+  ASSERT_OK(doc.AppendChild(tip, doc.CreateElement("a")));
+  ValidationReport bad = cast.Validate(doc);
+  EXPECT_FALSE(bad.valid);
+  EXPECT_EQ(bad.violation_path.depth(), kDepth - 1);
+}
+
 // ValidateSubtree is the ModValidator's workhorse; it now carries its own
 // trace span so per-subtree work shows up in Chrome traces.
 TEST(CastValidatorTest, ValidateSubtreeEmitsSubtreeSpan) {

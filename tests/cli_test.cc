@@ -161,6 +161,36 @@ TEST_F(CliTest, CorrectWritesRepairedDocument) {
   EXPECT_EQ(Run("validate " + P("v2.dtd") + " " + P("fixed.xml")), 0);
 }
 
+// DTD attribute lists are not modelled, so the attribute repairs need XSDs:
+// the target drops the optional `note` and requires `priority`.
+TEST_F(CliTest, CorrectPrintsAttributeRepairKinds) {
+  WriteFile("attr_v1.xsd",
+            "<schema><element name=\"order\" type=\"Order\"/>"
+            "<complexType name=\"Order\"><sequence>"
+            "<element name=\"sku\" type=\"string\"/></sequence>"
+            "<attribute name=\"id\" type=\"string\" use=\"required\"/>"
+            "<attribute name=\"note\" type=\"string\" use=\"optional\"/>"
+            "</complexType></schema>");
+  WriteFile("attr_v2.xsd",
+            "<schema><element name=\"order\" type=\"Order\"/>"
+            "<complexType name=\"Order\"><sequence>"
+            "<element name=\"sku\" type=\"string\"/></sequence>"
+            "<attribute name=\"id\" type=\"string\" use=\"required\"/>"
+            "<attribute name=\"priority\" type=\"integer\" use=\"required\"/>"
+            "</complexType></schema>");
+  WriteFile("order.xml", "<order id=\"a\" note=\"x\"><sku>S</sku></order>");
+  EXPECT_EQ(Run("correct " + P("attr_v1.xsd") + " " + P("attr_v2.xsd") + " " +
+                P("order.xml") + " -o " + P("order_fixed.xml")),
+            0);
+  std::string out = Output();
+  EXPECT_NE(out.find("drop-attr"), std::string::npos) << out;
+  EXPECT_NE(out.find("set-attr"), std::string::npos) << out;
+  EXPECT_EQ(out.find("  ? "), std::string::npos) << out;
+  EXPECT_NE(out.find("2 repair(s)"), std::string::npos) << out;
+  EXPECT_EQ(Run("validate " + P("attr_v2.xsd") + " " + P("order_fixed.xml")),
+            0);
+}
+
 TEST_F(CliTest, SampleProducesValidDocument) {
   EXPECT_EQ(RunTo("sample " + P("v2.dtd") + " --root note --seed 9",
                   P("sampled.xml")),

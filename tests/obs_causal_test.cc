@@ -1,30 +1,20 @@
-// Causal tracing across the work-stealing fan-out: on a ≥4-thread
-// parallel cast, EVERY cast.task span must be reachable from the request
-// via Chrome flow events — each task's 'f' (flow finish) binds inside the
-// task's span, shares its id with exactly one 's' (flow start) emitted by
-// the spawner, and carries the request's trace_id. Plus the tail-sampling
+// Causal tracing across the batch executor: every SubmitBatch item must be
+// reachable from the submitting span via Chrome flow events — each item's
+// 's' (flow start) lies inside batch.submit on the submitting thread, and
+// its one 'f' (flow finish) binds inside that item's batch.item slice on a
+// worker thread, under the item's own trace_id. Plus the tail-sampling
 // contract on the sink: staged events only surface for kept traces.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/executor.h"
 #include "common/json.h"
-#include "core/parallel_cast_validator.h"
-#include "core/relations.h"
 #include "obs/trace.h"
-#include "schema/xsd_parser.h"
-#include "tests/test_util.h"
-#include "workload/po_generator.h"
-#include "workload/po_schemas.h"
-#include "xml/tree.h"
+#include "schema/dtd_parser.h"
+#include "service/validation_service.h"
 
 #ifdef XMLREVAL_OBS_DISABLED
 #define SKIP_IF_OBS_COMPILED_OUT() \
@@ -90,101 +80,90 @@ std::vector<DecodedEvent> DecodeExport() {
   return out;
 }
 
-TEST(ObsCausalTest, EveryStolenCastTaskIsFlowLinkedToItsSpawner) {
+TEST(ObsCausalTest, EveryBatchItemIsFlowLinkedToItsSubmitter) {
   SKIP_IF_OBS_COMPILED_OUT();
   TraceGuard guard;
 
-  auto alphabet = std::make_shared<schema::Alphabet>();
-  auto src = schema::ParseXsd(workload::kRelaxedQuantityXsd, alphabet);
-  ASSERT_TRUE(src.ok()) << src.status().ToString();
-  auto tgt = schema::ParseXsd(workload::kTargetXsd, alphabet);
-  ASSERT_TRUE(tgt.ok()) << tgt.status().ToString();
-  core::Schema source = std::move(src).value();
-  core::Schema target = std::move(tgt).value();
-  ASSERT_OK_AND_ASSIGN(core::TypeRelations relations,
-                       core::TypeRelations::Compute(&source, &target));
+  service::ValidationService::Options options;
+  options.batch_threads = 4;
+  service::ValidationService service(options);
+  schema::DtdParseOptions roots;
+  roots.roots = {"note"};
+  auto v1 = service.registry().RegisterDtd(
+      "v1", "<!ELEMENT note (to, body?)><!ELEMENT to (#PCDATA)>"
+            "<!ELEMENT body (#PCDATA)>", roots);
+  auto v2 = service.registry().RegisterDtd(
+      "v2", "<!ELEMENT note (to, body)><!ELEMENT to (#PCDATA)>"
+            "<!ELEMENT body (#PCDATA)>", roots);
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  ASSERT_TRUE(v2.ok()) << v2.status();
 
-  workload::PoGeneratorOptions po;
-  po.item_count = 1000;
-  xml::Document doc = workload::GeneratePurchaseOrder(po);
-  ASSERT_OK(doc.Bind(alphabet));
-
-  common::Executor executor(common::Executor::Options{.threads = 4});
-  core::ParallelCastValidator::Options options;
-  options.spawn_threshold = 4;  // force real fan-out even on small docs
-  core::ParallelCastValidator parallel(&relations, &executor, options);
-  // The donation gate requires an observably idle worker, and on a loaded
-  // (or single-core) machine the pool's threads can still be starting up
-  // when a small document's walk already finished — no fan-out, nothing to
-  // flow-link. Retry with a fresh sink until the split actually happened.
-  core::ParallelCastValidator::RunStats stats;
-  for (int attempt = 0; attempt < 100 && stats.tasks < 2; ++attempt) {
-    TraceSink::Global().Clear();
-    stats = {};
-    core::ValidationReport report = parallel.Validate(doc, &stats);
-    ASSERT_TRUE(report.valid);
-    if (stats.tasks < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  constexpr size_t kItems = 32;
+  std::vector<service::ValidationService::BatchItem> items(kItems);
+  for (auto& item : items) {
+    item.op = service::ValidationService::BatchOp::kCast;
+    item.source = *v1;
+    item.target = *v2;
+    item.xml_text = "<note><to>a</to><body>b</body></note>";
   }
-  ASSERT_GE(stats.tasks, 2u) << "no fan-out after retries";
+  for (const auto& result : service.SubmitBatch(std::move(items)).get()) {
+    ASSERT_TRUE(result.status.ok()) << result.status;
+  }
+  const uint64_t submitter_tid = TraceSink::CurrentThreadId();
 
   std::vector<DecodedEvent> events = DecodeExport();
   ASSERT_FALSE(events.empty());
+  auto inside = [&](const DecodedEvent& flow, const char* slice) {
+    for (const DecodedEvent& t : events) {
+      if (t.ph == "X" && t.name == slice && t.tid == flow.tid &&
+          t.trace_id == flow.trace_id && flow.ts >= t.ts &&
+          flow.ts <= t.ts + t.dur) {
+        return true;
+      }
+    }
+    return false;
+  };
 
-  // The request id stamped by the validator's RequestScope: all spans of
-  // the run carry it.
-  uint64_t request_id = 0;
-  for (const DecodedEvent& e : events) {
-    if (e.ph == "X" && e.name == "cast.traverse") request_id = e.trace_id;
-  }
-  ASSERT_NE(request_id, 0u);
-
-  std::map<uint64_t, size_t> starts;    // flow id → 's' count
-  std::map<uint64_t, size_t> finishes;  // flow id → 'f' count
-  std::map<uint64_t, size_t> tasks_by_tid;
-  std::map<uint64_t, size_t> finishes_by_tid;
-  size_t tasks = 0;
+  std::map<uint64_t, uint64_t> starts;    // flow id → trace_id
+  std::map<uint64_t, uint64_t> finishes;  // flow id → trace_id
+  size_t items_traced = 0;
   for (const DecodedEvent& e : events) {
     if (e.ph == "s") {
-      EXPECT_EQ(e.name, "cast.flow");
-      EXPECT_EQ(e.trace_id, request_id);
-      ++starts[e.id];
-    } else if (e.ph == "f") {
-      EXPECT_EQ(e.name, "cast.flow");
-      EXPECT_EQ(e.trace_id, request_id);
-      ++finishes[e.id];
-      ++finishes_by_tid[e.tid];
-      // The finish shares its task span's start timestamp, so Perfetto's
-      // bp:"e" binding resolves to that slice.
-      bool inside_task = false;
+      EXPECT_EQ(e.name, "batch.flow");
+      EXPECT_EQ(e.tid, submitter_tid);
+      EXPECT_NE(e.trace_id, 0u);
+      // The submit span is the submitter's request, not the item's: match
+      // it by thread and time only.
+      bool in_submit = false;
       for (const DecodedEvent& t : events) {
-        if (t.ph == "X" && t.name == "cast.task" && t.tid == e.tid &&
+        if (t.ph == "X" && t.name == "batch.submit" && t.tid == e.tid &&
             e.ts >= t.ts && e.ts <= t.ts + t.dur) {
-          inside_task = true;
+          in_submit = true;
           break;
         }
       }
-      EXPECT_TRUE(inside_task) << "flow finish outside any cast.task slice";
-    } else if (e.ph == "X" && e.name == "cast.task") {
-      ++tasks;
-      ++tasks_by_tid[e.tid];
-      EXPECT_EQ(e.trace_id, request_id);
+      EXPECT_TRUE(in_submit) << "flow start outside batch.submit";
+      EXPECT_TRUE(starts.emplace(e.id, e.trace_id).second)
+          << "flow id " << e.id << " started twice";
+    } else if (e.ph == "f") {
+      EXPECT_EQ(e.name, "batch.flow");
+      EXPECT_NE(e.tid, submitter_tid);
+      EXPECT_TRUE(inside(e, "batch.item"))
+          << "flow finish outside its batch.item slice";
+      EXPECT_TRUE(finishes.emplace(e.id, e.trace_id).second)
+          << "flow id " << e.id << " consumed twice";
+    } else if (e.ph == "X" && e.name == "batch.item") {
+      ++items_traced;
     }
   }
-  EXPECT_EQ(tasks, stats.tasks);
-  // One inbound flow finish per task, settled per thread: a worker that
-  // ran N tasks consumed exactly N flow edges.
-  EXPECT_EQ(tasks_by_tid, finishes_by_tid);
-  // Flow edges pair up 1:1 — every spawned task was picked up, every
-  // pickup has a spawner.
-  EXPECT_EQ(starts.size(), finishes.size());
-  EXPECT_EQ(starts.size(), tasks);
-  for (const auto& [id, n] : starts) {
-    EXPECT_EQ(n, 1u) << "flow id " << id << " started twice";
-    EXPECT_EQ(finishes.count(id), 1u) << "flow id " << id << " never consumed";
-  }
-  for (const auto& [id, n] : finishes) {
-    EXPECT_EQ(n, 1u) << "flow id " << id << " consumed twice";
-  }
+  EXPECT_EQ(items_traced, kItems);
+  // Flow edges pair up 1:1 under one trace_id per item: every submitted
+  // item was picked up, every pickup has a submitter.
+  EXPECT_EQ(starts.size(), kItems);
+  EXPECT_EQ(starts, finishes);
+  std::map<uint64_t, size_t> per_trace;
+  for (const auto& [id, trace_id] : starts) ++per_trace[trace_id];
+  EXPECT_EQ(per_trace.size(), kItems) << "items share a trace_id";
 }
 
 // ------------------------------------------------------- tail sampling

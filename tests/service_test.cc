@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,15 +144,6 @@ TEST(BoundedQueueTest, FifoAndClose) {
   EXPECT_EQ(queue.Pop(), std::nullopt);
 }
 
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  common::BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // full, non-blocking refusal
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_TRUE(queue.TryPush(3));
-}
-
 TEST(BoundedQueueTest, PushBlocksUntilSpace) {
   common::BoundedQueue<int> queue(1);
   ASSERT_TRUE(queue.Push(1));
@@ -166,8 +159,7 @@ TEST(BoundedQueueTest, PushBlocksUntilSpace) {
   EXPECT_EQ(queue.Pop(), 2);
 }
 
-// The work-stealing Executor behind SubmitBatch has its own suite in
-// executor_test.cc.
+// The Executor behind SubmitBatch has its own suite in executor_test.cc.
 
 // --------------------------------------------------------------- service
 
@@ -419,83 +411,35 @@ TEST_F(ValidationServiceTest, BatchReturnsPerItemResultsInOrder) {
   EXPECT_EQ(counters.full_validations, 1u);
 }
 
-// Options::intra_doc_threads routes large casts through the parallel
-// subtree engine; the report must be bit-identical to the serial one.
-TEST_F(ValidationServiceTest, IntraDocParallelCastMatchesSerial) {
-  constexpr const char* kWideDtd = R"(
-<!ELEMENT r (a*, b?)>
-<!ELEMENT a (#PCDATA)>
-<!ELEMENT b (#PCDATA)>
-)";
-  constexpr const char* kNarrowDtd = R"(
-<!ELEMENT r (a*)>
-<!ELEMENT a (#PCDATA)>
-<!ELEMENT b (#PCDATA)>
-)";
-  schema::DtdParseOptions roots;
-  roots.roots = {"r"};
-
-  ValidationService::Options options;
-  options.intra_doc_threads = 2;
-  options.intra_doc_min_nodes = 16;
-  options.intra_doc_spawn_threshold = 8;
-  ValidationService parallel_service(options);
-  auto source =
-      parallel_service.registry().RegisterDtd("wide", kWideDtd, roots);
-  auto target =
-      parallel_service.registry().RegisterDtd("narrow", kNarrowDtd, roots);
-  ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(target.ok());
-
-  std::string text = "<r>";
-  for (int i = 0; i < 400; ++i) text += "<a>x</a>";
-  text += "</r>";
-  auto doc = xml::ParseXml(text);
-  ASSERT_TRUE(doc.ok());
-
-  auto relations = core::TypeRelations::Compute(
-      parallel_service.registry().schema(*source).get(),
-      parallel_service.registry().schema(*target).get());
-  ASSERT_TRUE(relations.ok());
-  core::ValidationReport serial = core::CastValidator(&*relations).Validate(*doc);
-
-  auto via_service = parallel_service.Cast(*source, *target, *doc);
-  ASSERT_TRUE(via_service.ok()) << via_service.status();
-  EXPECT_EQ(via_service->valid, serial.valid);
-  EXPECT_EQ(via_service->violation, serial.violation);
-  EXPECT_EQ(via_service->counters.nodes_visited,
-            serial.counters.nodes_visited);
-  EXPECT_EQ(via_service->counters.dfa_steps, serial.counters.dfa_steps);
-  EXPECT_EQ(via_service->counters.subtrees_skipped,
-            serial.counters.subtrees_skipped);
-}
-
-// Regression: destroying the service while large-document batch casts are
-// in flight must not deadlock. Each draining batch worker's Cast reaches
-// IntraExecutor(); the old destructor held executors_mutex_ across the
-// batch join while the worker blocked on that same mutex.
-TEST(ValidationServiceTeardownTest, InflightIntraDocCastDoesNotHang) {
+// Destroying the service while a batch is in flight must not hang: the
+// destructor drains every accepted item, so the future is fulfilled.
+TEST(ValidationServiceTeardownTest, InflightBatchDrainsOnDestruction) {
   for (int round = 0; round < 8; ++round) {
-    ValidationService::Options options;
-    options.batch_threads = 2;
-    options.intra_doc_threads = 2;
-    options.intra_doc_min_nodes = 1;  // every cast takes the parallel path
-    ValidationService service(options);
-    auto v1 = service.registry().RegisterDtd("note", kV1Dtd, NoteOptions());
-    auto v2 = service.registry().RegisterDtd("note", kV2Dtd, NoteOptions());
-    ASSERT_TRUE(v1.ok());
-    ASSERT_TRUE(v2.ok());
+    std::future<std::vector<ValidationService::BatchItemResult>> results;
+    {
+      ValidationService::Options options;
+      options.batch_threads = 2;
+      ValidationService service(options);
+      auto v1 = service.registry().RegisterDtd("note", kV1Dtd, NoteOptions());
+      auto v2 = service.registry().RegisterDtd("note", kV2Dtd, NoteOptions());
+      ASSERT_TRUE(v1.ok());
+      ASSERT_TRUE(v2.ok());
 
-    std::vector<ValidationService::BatchItem> items(8);
-    for (auto& item : items) {
-      item.op = ValidationService::BatchOp::kCast;
-      item.source = *v1;
-      item.target = *v2;
-      item.xml_text = kFullNote;
+      std::vector<ValidationService::BatchItem> items(8);
+      for (auto& item : items) {
+        item.op = ValidationService::BatchOp::kCast;
+        item.source = *v1;
+        item.target = *v2;
+        item.xml_text = kFullNote;
+      }
+      results = service.SubmitBatch(std::move(items));
+    }  // destroyed with the batch still in flight
+    ASSERT_EQ(results.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    for (const auto& result : results.get()) {
+      ASSERT_TRUE(result.status.ok()) << result.status;
+      EXPECT_TRUE(result.report.valid);
     }
-    service.SubmitBatch(std::move(items));
-    // Destroy with the batch still in flight: the destructor must drain
-    // (fulfilling the future) without deadlocking on executor creation.
   }
 }
 
@@ -620,12 +564,10 @@ TEST_F(ValidationServiceTest, MetricsReconcileWithRequestCounters) {
     ASSERT_NE(batch_depth, nullptr);
     EXPECT_GT(batch_depth->value, 0);
     obs::MetricsSnapshot settled = service.metrics().Snapshot();
-    for (const char* executor : {"batch", "intra_doc"}) {
-      const obs::GaugeSnapshot* depth = settled.FindGauge(
-          "xmlreval_executor_queue_depth", {{"executor", executor}});
-      ASSERT_NE(depth, nullptr) << executor;
-      EXPECT_EQ(depth->value, 0) << executor;
-    }
+    const obs::GaugeSnapshot* depth = settled.FindGauge(
+        "xmlreval_executor_queue_depth", {{"executor", "batch"}});
+    ASSERT_NE(depth, nullptr);
+    EXPECT_EQ(depth->value, 0);
   }
   // Document-footprint gauges track the last served document's
   // MemoryUsage (SoA columns + string arena + attributes).

@@ -11,11 +11,6 @@ shape that produced them, so a fresh file whose hardware_concurrency stamp
 differs from the baseline's is reported but never failed — the numbers
 measure different machines, not a regression.
 
-Quarantine: baselines known to be untrustworthy live in bench/quarantine/
-(see its README). A fresh artifact whose only "baseline" is quarantined is
-reported as such and never compared — a quarantined file must not gate
-anything, and silently treating it as "no baseline" would hide why.
-
 Gated metrics default to the binding bench's hot-path costs: the cast
 walk's ns/node, the tokenizer's ns/byte, the skip scanner's ns/byte and
 Document::Bind's ns/node.
@@ -73,15 +68,8 @@ def main() -> int:
     for fresh_path in fresh_files:
         name = os.path.basename(fresh_path)
         baseline_path = os.path.join(args.baseline_dir, name)
-        quarantine_path = os.path.join(args.baseline_dir, "bench",
-                                       "quarantine", name)
         if not os.path.exists(baseline_path):
-            if os.path.exists(quarantine_path):
-                print(f"{name}: baseline is QUARANTINED "
-                      f"({quarantine_path}) — see bench/quarantine/"
-                      "README.md; not compared, not gated")
-            else:
-                print(f"{name}: no committed baseline — skipped")
+            print(f"{name}: no committed baseline — skipped")
             continue
         fresh = load(fresh_path)
         baseline = load(baseline_path)
@@ -93,19 +81,6 @@ def main() -> int:
             print(f"{name}: hardware_concurrency {base_hw} (baseline) vs "
                   f"{fresh_hw} (fresh) — different machine shape, "
                   "regressions reported but NOT gated")
-
-        # A parallel-scaling artifact produced on a single-core runner has
-        # no parallelism to measure: every "speedup" it reports is noise
-        # around 1.0. Call it out loudly so nobody reads it as a baseline,
-        # and never gate on it.
-        parallel_bench = "parallel" in name.lower()
-        for side, hw in (("baseline", base_hw), ("fresh", fresh_hw)):
-            if parallel_bench and isinstance(hw, (int, float)) and hw <= 1:
-                print(f"{name}: WARNING {side} artifact was produced with "
-                      f"hardware_concurrency={hw:g} — parallel numbers from "
-                      "a single-core machine are NOT comparable; regenerate "
-                      "on a multicore runner (CI's perf job does this)")
-                comparable = False
 
         for key, base_value in sorted(baseline.items()):
             if not isinstance(base_value, (int, float)) or base_value <= 0:

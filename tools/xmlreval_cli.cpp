@@ -76,8 +76,7 @@ int Usage() {
                " [--reverse]\n"
                "  xmlreval serve-batch <source> <target> <doc.xml...>"
                " [--threads N] [--repeat N]\n"
-               "                       [--intra-doc-threads N]"
-               " [--metrics-out F]\n"
+               "                       [--metrics-out F]\n"
                "                       [--metrics-interval S]"
                " [--trace-out F]\n"
                "                       [--tail-sample]"
@@ -100,9 +99,6 @@ int Usage() {
                "thread pool (--threads, default: hardware concurrency) and\n"
                "casts each from <source> to <target>; --repeat N queues\n"
                "every document N times (throughput runs).\n"
-               "--intra-doc-threads N additionally fans EACH large\n"
-               "document's cast out over N workers (work-stealing subtree\n"
-               "parallelism; 0 = off, the default).\n"
                "--stream-threshold-bytes N routes cast items of at least N\n"
                "bytes through the streaming engine — no DOM on the worker\n"
                "(0 = off, the default).\n"
@@ -371,6 +367,12 @@ int CmdCorrect(int argc, char** argv) {
       case core::CorrectionStep::Kind::kDeleteSubtree:
         kind = "delete";
         break;
+      case core::CorrectionStep::Kind::kSetAttribute:
+        kind = "set-attr";
+        break;
+      case core::CorrectionStep::Kind::kRemoveAttribute:
+        kind = "drop-attr";
+        break;
     }
     std::printf("  %-8s at %-10s %s\n", kind, step.where.c_str(),
                 step.detail.c_str());
@@ -578,7 +580,6 @@ bool WriteMetricsFile(const service::ValidationService& service,
 int CmdServeBatch(int argc, char** argv) {
   std::vector<std::string> positional;
   size_t threads = 0;
-  size_t intra_doc_threads = 0;
   size_t repeat = 1;
   size_t metrics_interval = 0;  // seconds; 0 = only on signal/exit
   std::string metrics_out;
@@ -593,9 +594,6 @@ int CmdServeBatch(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--stream-threshold-bytes") == 0 &&
                i + 1 < argc) {
       stream_threshold_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--intra-doc-threads") == 0 &&
-               i + 1 < argc) {
-      intra_doc_threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
       repeat = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
@@ -628,7 +626,6 @@ int CmdServeBatch(int argc, char** argv) {
 
   service::ValidationService::Options options;
   options.batch_threads = threads;
-  options.intra_doc_threads = intra_doc_threads;
   options.plan_cache_dir = plan_cache_dir;
   options.stream_threshold_bytes = stream_threshold_bytes;
   service::ValidationService service(options);
@@ -1017,12 +1014,10 @@ int CmdStats(int argc, char** argv) {
 
 // Decomposes a --trace-out Chrome trace into per-request latency. Spans
 // carry args.trace_id (stamped by the service's RequestScope), so all of
-// one request's work — across threads, including stolen cast.task slices —
-// folds back onto one row. Phases follow the batch pipeline: queue wait,
-// parse, bind, relations fixpoint, update analysis, cast traversal (wall
-// clock of cast.traverse; cast.task CPU is reported separately because
-// parallel slices overlap). Aggregates group by the (src, tgt) schema-pair
-// args on svc.cast spans.
+// one request's work — across threads — folds back onto one row. Phases
+// follow the batch pipeline: queue wait, parse, bind, relations fixpoint,
+// update analysis, cast traversal. Aggregates group by the (src, tgt)
+// schema-pair args on svc.cast spans.
 int CmdTraceReport(int argc, char** argv) {
   if (argc != 1) return Usage();
   auto text = ReadFile(argv[0]);
@@ -1048,11 +1043,9 @@ int CmdTraceReport(int argc, char** argv) {
     uint64_t bind_us = 0;       // item.bind
     uint64_t fixpoint_us = 0;   // relations.fixpoint
     uint64_t analyze_us = 0;    // analysis.compile / analysis.classify
-    uint64_t traverse_us = 0;   // cast.traverse wall clock
-    uint64_t task_cpu_us = 0;   // cast.task, summed across workers
+    uint64_t traverse_us = 0;   // cast.traverse
     uint64_t service_us = 0;    // widest request-level span (post-dequeue)
     uint64_t total_us = 0;      // queue wait + service
-    uint64_t tasks = 0;
     std::string pair;           // "src->tgt" schema handles (svc.cast args)
   };
   std::map<uint64_t, RequestRow> rows;  // keyed by trace_id, stable order
@@ -1092,9 +1085,6 @@ int CmdTraceReport(int argc, char** argv) {
       row.analyze_us += micros;
     } else if (span == "cast.traverse") {
       row.traverse_us += micros;
-    } else if (span == "cast.task") {
-      row.task_cpu_us += micros;
-      ++row.tasks;
     }
     // The request-level span (batch.item for batch work, the svc.* entry
     // span for direct calls) starts at dequeue, so queue wait is added on
@@ -1128,9 +1118,9 @@ int CmdTraceReport(int argc, char** argv) {
   }
 
   std::printf("%zu request(s) in %s\n\n", rows.size(), argv[0]);
-  std::printf("%-18s %8s %8s %8s %8s %8s %8s %8s %9s %6s  %s\n", "trace_id",
+  std::printf("%-18s %8s %8s %8s %8s %8s %8s %8s  %s\n", "trace_id",
               "total", "queue", "parse", "bind", "fixpnt", "analyze",
-              "travrs", "task_cpu", "tasks", "pair");
+              "travrs", "pair");
   std::vector<const std::pair<const uint64_t, RequestRow>*> order;
   order.reserve(rows.size());
   for (const auto& entry : rows) order.push_back(&entry);
@@ -1148,17 +1138,14 @@ int CmdTraceReport(int argc, char** argv) {
   for (size_t i = 0; i < order.size(); ++i) {
     const auto& [id, row] = *order[i];
     if (i < kMaxRows) {
-      std::printf("%-18llu %8llu %8llu %8llu %8llu %8llu %8llu %8llu "
-                  "%9llu %6llu  %s\n",
+      std::printf("%-18llu %8llu %8llu %8llu %8llu %8llu %8llu %8llu  %s\n",
                   (unsigned long long)id, (unsigned long long)row.total_us,
                   (unsigned long long)row.queue_us,
                   (unsigned long long)row.parse_us,
                   (unsigned long long)row.bind_us,
                   (unsigned long long)row.fixpoint_us,
                   (unsigned long long)row.analyze_us,
-                  (unsigned long long)row.traverse_us,
-                  (unsigned long long)row.task_cpu_us,
-                  (unsigned long long)row.tasks, row.pair.c_str());
+                  (unsigned long long)row.traverse_us, row.pair.c_str());
     }
     PairAgg& agg = pairs[row.pair.empty() ? "(direct)" : row.pair];
     ++agg.count;
